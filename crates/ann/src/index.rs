@@ -29,10 +29,9 @@ use mtrl_graph::knn::{
     center_columns, dist_less, gram_sq_dist, gram_sq_dist_x4, graph_from_neighbours,
     knn_indices_with_threads, pnn_graph_with_threads, select_p_nearest, WeightScheme,
 };
-use mtrl_graph::knn_f32::{knn_indices_f32_with_threads, pnn_graph_f32_with_threads};
 use mtrl_linalg::par::{num_threads, par_chunks_map};
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, MatF32, Precision};
+use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// An approximate nearest-neighbour index over centred feature rows.
@@ -233,38 +232,11 @@ pub fn knn_indices_backend(
     backend: &GraphBackend,
     threads: usize,
 ) -> Vec<Vec<usize>> {
-    knn_indices_backend_prec(data, p, backend, Precision::F64, threads)
-}
-
-/// [`knn_indices_backend`] with an explicit [`Precision`].
-///
-/// In [`Precision::F32`] mode the centred rows are quantised through
-/// `f32` before any distance is computed. The exact backend routes to
-/// the f32-storage blocked kernel
-/// ([`mtrl_graph::knn_f32::knn_indices_f32_with_threads`]); approximate
-/// backends run the candidate machinery on the *widened* quantised
-/// matrix — widening `f32 → f64` is exact, so every distance equals the
-/// f32-storage kernel's value bit for bit while the index structures
-/// stay precision-agnostic. Output remains bit-identical for every
-/// `threads` value within each mode.
-pub fn knn_indices_backend_prec(
-    data: &Mat,
-    p: usize,
-    backend: &GraphBackend,
-    precision: Precision,
-    threads: usize,
-) -> Vec<Vec<usize>> {
     if backend.is_exact() {
-        return match precision {
-            Precision::F64 => knn_indices_with_threads(data, p, threads),
-            Precision::F32 => knn_indices_f32_with_threads(data, p, threads),
-        };
+        return knn_indices_with_threads(data, p, threads);
     }
     let n = data.rows();
-    let centered = match precision {
-        Precision::F64 => center_columns(data),
-        Precision::F32 => MatF32::from_mat(&center_columns(data)).widen(),
-    };
+    let centered = center_columns(data);
     let sq_norms: Vec<f64> = (0..n)
         .map(|i| dot(centered.row(i), centered.row(i)))
         .collect();
@@ -295,29 +267,12 @@ pub fn pnn_graph_backend(
     scheme: WeightScheme,
     backend: &GraphBackend,
 ) -> Csr {
-    pnn_graph_backend_prec(data, p, scheme, backend, Precision::F64)
-}
-
-/// [`pnn_graph_backend`] with an explicit [`Precision`]. Neighbour
-/// search follows [`knn_indices_backend_prec`]'s precision routing;
-/// weighting and symmetrisation always run on the raw `f64` rows
-/// ([`graph_from_neighbours`]), identically in both modes.
-pub fn pnn_graph_backend_prec(
-    data: &Mat,
-    p: usize,
-    scheme: WeightScheme,
-    backend: &GraphBackend,
-    precision: Precision,
-) -> Csr {
     let threads = auto_threads(data);
     if backend.is_exact() {
-        return match precision {
-            Precision::F64 => pnn_graph_with_threads(data, p, scheme, threads),
-            Precision::F32 => pnn_graph_f32_with_threads(data, p, scheme, threads),
-        };
+        return pnn_graph_with_threads(data, p, scheme, threads);
     }
     let _span = mtrl_obs::span!("ann.pnn_build");
-    let neighbours = knn_indices_backend_prec(data, p, backend, precision, threads);
+    let neighbours = knn_indices_backend(data, p, backend, threads);
     graph_from_neighbours(data, &neighbours, scheme, threads)
 }
 

@@ -37,6 +37,8 @@
 //! floor is enforced by CI (`recall_gate`), because a fast graph with
 //! silently degraded recall would poison every manifold downstream.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod config;
 pub mod forest;
@@ -48,8 +50,7 @@ pub use cluster::ClusterIndex;
 pub use config::{ClusterParams, GraphBackend, RpForestParams};
 pub use forest::RpForestIndex;
 pub use index::{
-    build_any_index, build_index, insert_capped, knn_indices_backend, knn_indices_backend_prec,
-    pnn_graph_backend, pnn_graph_backend_prec, select_from_candidates, AnyIndex, NeighbourIndex,
-    QueryScratch,
+    build_any_index, build_index, insert_capped, knn_indices_backend, pnn_graph_backend,
+    select_from_candidates, AnyIndex, NeighbourIndex, QueryScratch,
 };
 pub use recall::{sampled_recall, RecallProbe, RecallResult};

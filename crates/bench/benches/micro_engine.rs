@@ -77,15 +77,6 @@ fn engine_cfg() -> EngineConfig {
     }
 }
 
-/// The same step with the mixed-precision kernel backend (f32 storage,
-/// f64 accumulation in the SpMM / low-rank / residual hot loops).
-fn engine_cfg_f32() -> EngineConfig {
-    EngineConfig {
-        precision: mtrl_linalg::Precision::F32,
-        ..engine_cfg()
-    }
-}
-
 fn bench_engine_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_step_n2000_c18");
     group.sample_size(10);
@@ -116,25 +107,6 @@ fn bench_engine_step(c: &mut Criterion) {
                 "labels diverged at density {density}"
             );
         }
-        // The f32 backend must land on the same labels as the f64
-        // reference before its timing means anything.
-        let cfg32 = engine_cfg_f32();
-        let sparse32 = run_engine(
-            &r_sparse,
-            &data,
-            &GraphRegularizer::None,
-            g0.clone(),
-            &cfg32,
-        )
-        .expect("f32 engine");
-        for ty in 0..3 {
-            assert_eq!(
-                data.labels_from_membership(&sparse32.g, ty),
-                data.labels_from_membership(&sparse.g, ty),
-                "f32 labels diverged from f64 at density {density}"
-            );
-        }
-
         group.bench_function(format!("sparse_{tag}"), |bencher| {
             bencher.iter(|| {
                 run_engine(
@@ -145,18 +117,6 @@ fn bench_engine_step(c: &mut Criterion) {
                     &cfg,
                 )
                 .expect("sparse engine")
-            });
-        });
-        group.bench_function(format!("sparse_f32_{tag}"), |bencher| {
-            bencher.iter(|| {
-                run_engine(
-                    black_box(&r_sparse),
-                    &data,
-                    &GraphRegularizer::None,
-                    g0.clone(),
-                    &cfg32,
-                )
-                .expect("f32 engine")
             });
         });
         group.bench_function(format!("dense_{tag}"), |bencher| {

@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    knn_indices, knn_indices_f32, knn_indices_f32_with_threads, knn_indices_with_threads,
-    laplacian_csr, laplacian_dense, pnn_graph, pnn_graph_f32_with_threads, pnn_graph_with_threads,
+    knn_indices_with_threads, laplacian_csr, laplacian_dense, pnn_graph, pnn_graph_with_threads,
     LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::random::rand_uniform;
@@ -42,30 +41,6 @@ fn bench_pnn_scaling(c: &mut Criterion) {
         );
     }
 
-    // The f32-storage kernel legs: before timing, pin cross-thread
-    // bitwise determinism within f32 mode and check the f32 neighbour
-    // lists against the f64 reference — quantisation may only reorder
-    // near-ties, so the lists must agree on (effectively) every slot.
-    let f32_ref = pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, threads),
-            f32_ref,
-            "f32 kernel (t={threads}) is not thread-count deterministic"
-        );
-    }
-    let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_f32(&data, 5);
-    let (mut shared, mut total) = (0usize, 0usize);
-    for (a, b) in nn64.iter().zip(&nn32) {
-        total += a.len();
-        shared += a.iter().filter(|j| b.contains(j)).count();
-    }
-    assert!(
-        shared as f64 >= 0.999 * total as f64,
-        "f32 neighbour lists diverged from f64: {shared}/{total} slots agree"
-    );
-
     let mut group = c.benchmark_group("pnn_scaling_n2000_d64_p5");
     group.sample_size(10);
     group.bench_function("seed_serial", |bencher| {
@@ -78,60 +53,22 @@ fn bench_pnn_scaling(c: &mut Criterion) {
             });
         });
     }
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("blocked_f32_t{threads}"), |bencher| {
-            bencher.iter(|| {
-                pnn_graph_f32_with_threads(black_box(&data), 5, WeightScheme::Cosine, threads)
-            });
-        });
-    }
     group.finish();
 }
 
-/// The acceptance benchmark of the mixed-precision backend: the Gram
-/// distance chain (`knn_indices`, the kernel the pNN construction spends
-/// its time in) at `n = 2000, d = 256`, where `Xᵀ` is 4 MiB in `f64`
-/// (spills the 2 MiB L2) but 2 MiB in `f32`. Here the halved element
-/// width plus the f32 kernel's wider row-grouping make the
-/// storage-bandwidth win visible: the committed baseline must show
-/// `knn_f32_t1` ≥ 1.3× faster than `knn_t1`. The group times the kernel
-/// itself rather than `pnn_graph` because edge weighting runs on raw
-/// `f64` rows in *both* modes (identical cost, no precision knob) and
-/// would only dilute the measured contrast. (The `d = 64` scaling group
-/// above stays compute-bound — both transposes fit in L2 — which is
-/// exactly why this group exists.)
+/// The Gram distance chain (`knn_indices`, the kernel the pNN
+/// construction spends its time in) at `n = 2000, d = 256`, where `Xᵀ`
+/// is 4 MiB and spills the 2 MiB L2 — the bandwidth-bound counterpart
+/// of the compute-bound `d = 64` scaling group above. The group times
+/// the kernel itself rather than `pnn_graph`, whose edge weighting would
+/// only dilute the measurement.
 fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
     let data = rand_uniform(2000, 256, 0.0, 1.0, 11);
-
-    // Same pre-timing contract as the scaling group, at this shape:
-    // f32 mode is thread-count deterministic and its neighbour lists
-    // agree with f64 on effectively every slot.
-    let f32_ref = pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 1);
-    assert_eq!(
-        pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 4),
-        f32_ref,
-        "f32 kernel (t=4) is not thread-count deterministic at d=256"
-    );
-    let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_f32(&data, 5);
-    let (mut shared, mut total) = (0usize, 0usize);
-    for (a, b) in nn64.iter().zip(&nn32) {
-        total += a.len();
-        shared += a.iter().filter(|j| b.contains(j)).count();
-    }
-    assert!(
-        shared as f64 >= 0.999 * total as f64,
-        "f32 neighbour lists diverged from f64 at d=256: {shared}/{total} slots agree"
-    );
-
     let mut group = c.benchmark_group("pnn_gram_n2000_d256_p5");
     group.sample_size(10);
     for threads in [1usize, 4] {
         group.bench_function(format!("knn_t{threads}"), |bencher| {
             bencher.iter(|| knn_indices_with_threads(black_box(&data), 5, threads));
-        });
-        group.bench_function(format!("knn_f32_t{threads}"), |bencher| {
-            bencher.iter(|| knn_indices_f32_with_threads(black_box(&data), 5, threads));
         });
     }
     group.finish();

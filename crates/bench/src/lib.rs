@@ -22,6 +22,8 @@
 //! `paper`, default `small`); each run also writes machine-readable JSON
 //! to `target/bench-results/` for EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use mtrl_datagen::datasets::Scale;
 use serde::Serialize;
 use std::io::Write;

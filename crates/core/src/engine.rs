@@ -99,17 +99,14 @@
 use crate::error::RhchmeError;
 use crate::multitype::MultiTypeData;
 use crate::Result;
-use mtrl_linalg::lowrank::{
-    diag_lowrank_combine, diag_lowrank_combine_f32, row_dots, row_dots_f32, row_quad_forms,
-    row_quad_forms_f32,
-};
+use mtrl_linalg::lowrank::{diag_lowrank_combine, row_dots, row_quad_forms};
 use mtrl_linalg::norms::row_l2_norms;
 use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_tn};
 use mtrl_linalg::simplex::project_simplex;
 use mtrl_linalg::solve::ridge_inverse;
-use mtrl_linalg::{Mat, MatF32, Precision, EPS};
+use mtrl_linalg::{Mat, Precision, EPS};
 use mtrl_obs::{FitTelemetry, IterTelemetry};
-use mtrl_sparse::{Csr, CsrF32, RowSparse, SparseBlockDiag, SparseBlockDiagF32};
+use mtrl_sparse::{Csr, RowSparse, SparseBlockDiag};
 use std::time::Instant;
 
 /// Kernel-phase indices for [`PhaseClock`] (see the module docs'
@@ -200,16 +197,10 @@ pub struct EngineConfig {
     /// stored. Keeps the export at `O(active · n)` — under the ℓ2,1
     /// model only outlier (corrupted) rows clear half the maximum.
     pub error_export_rel: f64,
-    /// Storage precision of the iteration hot loops. [`Precision::F32`]
-    /// stores the SpMM / low-rank / residual / regulariser operands
-    /// (`R`, a fixed `L` and its part split, the per-iteration `G`
-    /// snapshot and low-rank factors) in `f32` and accumulates every
-    /// product in `f64`, halving the memory traffic of the
-    /// bandwidth-bound kernels. Iterates (`G`, `S`) and the small dense
-    /// algebra stay `f64`. The RMC ensemble regulariser re-optimises its
-    /// combination every iteration and stays `f64` in both modes. Runs
-    /// remain bit-identical across thread counts *within* each mode;
-    /// the two modes produce different (both valid) descent paths.
+    /// Unread; always [`Precision::F64`] (the engine has one `f64`
+    /// path). Kept only because the benchmark replay (`perfbench/`)
+    /// sets it; a later benchmark change that updates the replay
+    /// removes it.
     pub precision: Precision,
 }
 
@@ -456,35 +447,10 @@ pub fn run_engine(
     let reg_state = RegState::new(reg);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
-    // F32 mode: quantised storage twins of the loop-invariant sparse
-    // operands, built once. `R` feeds every SpMM; a fixed regulariser's
-    // `(L, L⁺, L⁻)` feed the update products and the objective trace
-    // term. The ensemble (RMC) regulariser rebuilds its combination
-    // every iteration and stays f64 (see [`EngineConfig::precision`]).
-    let f32_mode = !cfg.precision.is_f64();
-    let r32 = f32_mode.then(|| CsrF32::from_csr(r));
-    let fixed_f32: Option<(SparseBlockDiagF32, SparseBlockDiagF32, SparseBlockDiagF32)> = match reg
-    {
-        GraphRegularizer::Fixed(l) if f32_mode => {
-            let (lp, lm) = l.split_parts();
-            Some((
-                SparseBlockDiagF32::from_block_diag(l),
-                SparseBlockDiagF32::from_block_diag(&lp),
-                SparseBlockDiagF32::from_block_diag(&lm),
-            ))
-        }
-        _ => None,
-    };
-
-    // Row structure of R for the residual trace identity — of the
-    // quantised R in f32 mode, so the identity's three terms see one
-    // consistent operand.
-    let r_row_sq: Vec<f64> = match &r32 {
-        Some(r32) => r32.row_sq_sums(),
-        None => (0..n)
-            .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
-            .collect(),
-    };
+    // Row structure of R for the residual trace identity.
+    let r_row_sq: Vec<f64> = (0..n)
+        .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
+        .collect();
 
     // Implicit E_R: shrinkage factors f plus the previous iterate's
     // low-rank factors (U = G·S, H = G), so that
@@ -492,21 +458,14 @@ pub fn run_engine(
     let mut f_er: Vec<f64> = vec![0.0; n];
     let mut one_minus_f: Vec<f64> = vec![1.0; n];
     let mut prev_lowrank: Option<(Mat, Mat)> = None;
-    let mut prev_u32: Option<MatF32> = None;
     let mut error_row_norms: Vec<f64> = Vec::new();
     let mut final_q_norms: Vec<f64> = Vec::new();
 
     // R·G and GᵀG for the *current* G — computed before the loop,
     // refreshed after every G update, and shared between the residual
     // identity of iteration t and step 3 of iteration t+1 (one SpMM and
-    // one gram per iteration). In f32 mode the SpMM streams the
-    // quantised `R` against an f32 snapshot of `G` (accumulating in
-    // f64); `g32` tracks `G` across the update.
-    let mut g32 = f32_mode.then(|| MatF32::from_mat(&g));
-    let mut rg = match (&r32, &g32) {
-        (Some(r32), Some(g32)) => r32.spmm_dense(g32),
-        _ => r.spmm_dense(&g),
-    };
+    // one gram per iteration).
+    let mut rg = r.spmm_dense(&g);
     let mut gram_cur = gram(&g);
 
     let mut objective_trace = Vec::with_capacity(cfg.max_iter);
@@ -534,13 +493,7 @@ pub fn run_engine(
         let m1_corrected = match &prev_lowrank {
             Some((u, h)) => {
                 let w = matmul_tn(h, &g)?; // Hᵀ·G, c x c
-                Some(match &prev_u32 {
-                    Some(u32) => {
-                        let rg32 = MatF32::from_mat(&rg);
-                        diag_lowrank_combine_f32(&one_minus_f, &rg32, &f_er, u32, &w)?
-                    }
-                    None => diag_lowrank_combine(&one_minus_f, &rg, &f_er, u, &w)?,
-                })
+                Some(diag_lowrank_combine(&one_minus_f, &rg, &f_er, u, &w)?)
             }
             None => None,
         };
@@ -557,14 +510,9 @@ pub fn run_engine(
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
         let gb_pos = matmul(&g, &b_pos)?;
         let gb_neg = matmul(&g, &b_neg)?;
-        let (lp_g, lm_g) = match (&fixed_f32, &g32) {
-            (Some((_, lp32, lm32)), Some(g32c)) => {
-                (Some(lp32.mul_dense(g32c)?), Some(lm32.mul_dense(g32c)?))
-            }
-            _ => match (&l_plus, &l_minus) {
-                (Some(lp), Some(lm)) => (Some(lp.mul_dense(&g)?), Some(lm.mul_dense(&g)?)),
-                _ => (None, None),
-            },
+        let (lp_g, lm_g) = match (&l_plus, &l_minus) {
+            (Some(lp), Some(lm)) => (Some(lp.mul_dense(&g)?), Some(lm.mul_dense(&g)?)),
+            _ => (None, None),
         };
         multiplicative_update(
             &mut g,
@@ -588,29 +536,15 @@ pub fn run_engine(
         // ---- Steps 6-7: E_R update (Eqs. 25-27), trace form ----------
         // Refresh R·G and GᵀG for the updated G (also next iteration's
         // step 3 — neither is recomputed there).
-        if let Some(g32m) = &mut g32 {
-            *g32m = MatF32::from_mat(&g);
-        }
-        rg = match (&r32, &g32) {
-            (Some(r32), Some(g32c)) => r32.spmm_dense(g32c),
-            _ => r.spmm_dense(&g),
-        };
+        rg = r.spmm_dense(&g);
         gram_cur = gram(&g);
         clock.lap(PHASE_SPMM);
         // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ —
         // per row block, no Q matrix. Cancellation is clamped at zero.
         let m_q = matmul(&matmul(&s, &gram_cur)?, &s.transpose())?; // S K Sᵀ
         let rgst = matmul(&rg, &s.transpose())?;
-        let (cross, quad) = match &g32 {
-            Some(g32c) => {
-                let rgst32 = MatF32::from_mat(&rgst);
-                (
-                    row_dots_f32(&rgst32, g32c)?,
-                    row_quad_forms_f32(g32c, &m_q)?,
-                )
-            }
-            None => (row_dots(&rgst, &g)?, row_quad_forms(&g, &m_q)?),
-        };
+        let cross = row_dots(&rgst, &g)?;
+        let quad = row_quad_forms(&g, &m_q)?;
         let q_norms: Vec<f64> = (0..n)
             .map(|i| (r_row_sq[i] - 2.0 * cross[i] + quad[i]).max(0.0).sqrt())
             .collect();
@@ -629,9 +563,6 @@ pub fn run_engine(
             error_row_norms = f_er.iter().zip(&q_norms).map(|(f, qn)| f * qn).collect();
             // Next iteration's low-rank factors of R − E_R.
             let u = matmul(&g, &s)?;
-            if f32_mode {
-                prev_u32 = Some(MatF32::from_mat(&u));
-            }
             prev_lowrank = Some((u, g.clone()));
             final_q_norms = q_norms;
         } else {
@@ -639,12 +570,9 @@ pub fn run_engine(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = match (&fixed_f32, &g32) {
-            (Some((l32, _, _)), Some(g32c)) => l32.trace_quad(g32c)?,
-            _ => match &l_current {
-                Some(l) => l.trace_quad(&g)?,
-                None => 0.0,
-            },
+        let reg_term = match &l_current {
+            Some(l) => l.trace_quad(&g)?,
+            None => 0.0,
         };
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
@@ -1117,73 +1045,6 @@ mod tests {
         for (a, b) in sparse.error_row_norms.iter().zip(&dense.error_row_norms) {
             assert!((a - b).abs() < 1e-8, "error norms diverged: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn f32_mode_descends_and_agrees_with_f64() {
-        let (data, corpus) = tiny_data();
-        let r = data.assemble_r_csr();
-        let lap = pnn_block_laplacian(&data);
-        let g0 = init_g(&data, 2);
-        let cfg64 = EngineConfig {
-            lambda: 1.0,
-            beta: 10.0,
-            max_iter: 40,
-            ..EngineConfig::default()
-        };
-        let cfg32 = EngineConfig {
-            precision: Precision::F32,
-            ..cfg64.clone()
-        };
-        let reg = GraphRegularizer::Fixed(lap);
-        let r64 = run_engine(&r, &data, &reg, g0.clone(), &cfg64).unwrap();
-        let r32 = run_engine(&r, &data, &reg, g0, &cfg32).unwrap();
-        // Monotone descent within the same numerical slack as f64 mode.
-        for w in r32.objective_trace.windows(2) {
-            assert!(
-                w[1] <= w[0] * (1.0 + 1e-5) + 1e-9,
-                "f32 objective rose: {} -> {}",
-                w[0],
-                w[1]
-            );
-        }
-        // Quantisation perturbs the descent path, not the clustering:
-        // both modes recover the two-class structure.
-        let labels64 = data.labels_from_membership(&r64.g, 0);
-        let labels32 = data.labels_from_membership(&r32.g, 0);
-        let f64_score = mtrl_metrics::fscore(&corpus.labels, &labels64);
-        let f32_score = mtrl_metrics::fscore(&corpus.labels, &labels32);
-        assert!(
-            (f64_score - f32_score).abs() < 0.02,
-            "quality drifted: f64 {f64_score} vs f32 {f32_score}"
-        );
-        // Rows of G still sum to 1 and stay nonnegative in f32 mode.
-        for i in 0..r32.g.rows() {
-            let s: f64 = r32.g.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
-        }
-        assert!(r32.g.min() >= 0.0);
-    }
-
-    #[test]
-    fn f32_mode_is_reproducible() {
-        let (data, _) = tiny_data();
-        let r = data.assemble_r_csr();
-        let lap = pnn_block_laplacian(&data);
-        let g0 = init_g(&data, 3);
-        let cfg = EngineConfig {
-            lambda: 0.5,
-            beta: 10.0,
-            max_iter: 15,
-            tol: 0.0,
-            precision: Precision::F32,
-            ..EngineConfig::default()
-        };
-        let reg = GraphRegularizer::Fixed(lap);
-        let a = run_engine(&r, &data, &reg, g0.clone(), &cfg).unwrap();
-        let b = run_engine(&r, &data, &reg, g0, &cfg).unwrap();
-        assert_eq!(a.g.as_slice(), b.g.as_slice());
-        assert_eq!(a.objective_trace, b.objective_trace);
     }
 
     #[test]

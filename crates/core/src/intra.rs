@@ -17,7 +17,7 @@
 //! all.
 
 use crate::Result;
-use mtrl_ann::{pnn_graph_backend_prec, GraphBackend};
+use mtrl_ann::{pnn_graph_backend, GraphBackend};
 use mtrl_graph::{laplacian_csr, LaplacianKind, WeightScheme};
 use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::SparseBlockDiag;
@@ -65,32 +65,27 @@ pub fn pnn_laplacians_backend(
     kind: LaplacianKind,
     backend: &GraphBackend,
 ) -> Result<SparseBlockDiag> {
-    pnn_laplacians_backend_prec(features, p, scheme, kind, backend, Precision::F64)
+    let blocks = features
+        .iter()
+        .map(|f| laplacian_csr(&pnn_graph_backend(f, p, scheme, backend), kind))
+        .collect();
+    Ok(SparseBlockDiag::new(blocks)?)
 }
 
-/// [`pnn_laplacians_backend`] with an explicit kernel [`Precision`]:
-/// [`Precision::F32`] routes the neighbour search through the
-/// f32-storage Gram chain (`mtrl_graph::knn_f32` / the quantised ANN
-/// candidate path) while edge weighting and the Laplacian normalisation
-/// stay `f64`.
+/// [`pnn_laplacians_backend`] with an ignored [`Precision`] tag.
+///
+/// Kept only because the benchmark harness's replay (`perfbench/`)
+/// calls it; every kernel runs `f64`, so this forwards unchanged. A
+/// later benchmark change that updates the replay removes it.
 pub fn pnn_laplacians_backend_prec(
     features: &[Mat],
     p: usize,
     scheme: WeightScheme,
     kind: LaplacianKind,
     backend: &GraphBackend,
-    precision: Precision,
+    _precision: Precision,
 ) -> Result<SparseBlockDiag> {
-    let blocks = features
-        .iter()
-        .map(|f| {
-            laplacian_csr(
-                &pnn_graph_backend_prec(f, p, scheme, backend, precision),
-                kind,
-            )
-        })
-        .collect();
-    Ok(SparseBlockDiag::new(blocks)?)
+    pnn_laplacians_backend(features, p, scheme, kind, backend)
 }
 
 /// Per-type subspace-learned Laplacians (`L_S`) via SPG, as a block

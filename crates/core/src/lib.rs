@@ -39,6 +39,8 @@
 //! assert!(f > 0.3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod engine;
 pub mod error;
@@ -53,7 +55,6 @@ pub use mtrl_linalg::kmeans;
 pub use error::RhchmeError;
 pub use export::{FittedModel, SCHEMA_VERSION};
 pub use mtrl_ann::GraphBackend;
-pub use mtrl_linalg::Precision;
 pub use multitype::MultiTypeData;
 pub use pipeline::{
     run_method, run_spec, EnsembleSpec, FitRequest, MergeStrategy, Method, MethodOutput, MethodSpec,

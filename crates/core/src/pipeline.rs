@@ -304,10 +304,6 @@ pub struct PipelineParams {
     /// kernel or an approximate `mtrl_ann` index; other methods keep the
     /// exact kernel — their corpora are baseline-sized by construction).
     pub graph_backend: mtrl_ann::GraphBackend,
-    /// Kernel storage precision for RHCHME's hot loops (pNN Gram chain,
-    /// engine SpMM / low-rank / residual kernels); see
-    /// [`RhchmeConfig::precision`]. Baseline methods always run `f64`.
-    pub precision: mtrl_linalg::Precision,
     /// RMC's quadratic penalty μ on ensemble weights.
     pub rmc_mu: f64,
     /// DRCC document-side graph weight.
@@ -340,7 +336,6 @@ impl Default for PipelineParams {
             beta: 50.0,
             p: 5,
             graph_backend: mtrl_ann::GraphBackend::Exact,
-            precision: mtrl_linalg::Precision::F64,
             rmc_mu: 1.0,
             drcc_lambda: 0.1,
             drcc_mu: 0.1,
@@ -515,7 +510,6 @@ pub fn run_spec(
                 beta: params.beta,
                 p: params.p,
                 graph_backend: params.graph_backend,
-                precision: params.precision,
                 spg_max_iter: params.spg_max_iter,
                 max_iter: params.max_iter,
                 tol: params.tol,

@@ -31,6 +31,8 @@
 //! variable (see [`seed_from_env`]) shifts every seeded experiment so CI
 //! can exercise more than one RNG stream per push.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod corruption;
 pub mod datasets;

@@ -209,7 +209,6 @@ fn fit_member(
                 l1_row_normalize: true,
                 max_iter: params.max_iter,
                 tol: params.tol,
-                precision: params.precision,
                 ..EngineConfig::default()
             },
         ),

@@ -22,6 +22,8 @@
 //! `rhchme::pipeline::run_spec` — callers that may receive either kind
 //! (the eval runner, demos) route through this function.
 
+#![forbid(unsafe_code)]
+
 pub mod coassoc;
 pub mod generator;
 pub mod merge;
@@ -268,7 +270,6 @@ pub fn export_model_from_data(
         beta: params.beta,
         p: params.p,
         graph_backend: params.graph_backend,
-        precision: params.precision,
         spg_max_iter: params.spg_max_iter,
         max_iter: params.max_iter,
         tol: params.tol,

@@ -1,7 +1,7 @@
 //! Byte-exact fit dump for the CI determinism leg.
 //!
 //! ```text
-//! determinism_probe <out_file> [--ann] [--f32]
+//! determinism_probe <out_file> [--ann] [--ensemble]
 //! ```
 //!
 //! Runs one full RHCHME fit (corpus seeded from `MTRL_SEED`, quick
@@ -17,17 +17,16 @@
 //! index build, descent, and candidate re-ranking must also be
 //! thread-count invariant end to end.
 //!
-//! `--f32` runs the fit with the mixed-precision kernel backend
-//! (f32 storage, f64 accumulation). The contract is per-mode: f32
-//! results need not match f64 results, but within f32 mode every
-//! thread count must produce the same bytes.
-//!
 //! `--ensemble` runs a full consensus-ensemble fit instead (default
 //! `EnsembleSpec`: member generation, sparse co-association build,
 //! probability-trajectory merge, closed-form `S`), extending the
 //! byte-identical contract to every ensemble stage — the co-association
 //! rows are built with the same order-splicing parallel primitive as the
 //! kernels, so thread count must not move a single bit.
+//!
+//! Any other argument starting with `--` is rejected with the usage
+//! message (exit 1), so a mistyped or retired flag can never be taken
+//! for the output path.
 
 use mtrl_datagen::{seed_from_env, CorruptionSpec};
 use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
@@ -35,20 +34,18 @@ use rhchme::pipeline::EnsembleSpec;
 use rhchme::rhchme::Rhchme;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--f32] [--ensemble]";
+const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--ensemble]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = None;
     let mut ann = false;
-    let mut f32_mode = false;
     let mut ensemble = false;
     for a in &args {
         match a.as_str() {
             "--ann" => ann = true,
-            "--f32" => f32_mode = true,
             "--ensemble" => ensemble = true,
-            _ if out_path.is_none() => out_path = Some(a.clone()),
+            _ if out_path.is_none() && !a.starts_with("--") => out_path = Some(a.clone()),
             _ => {
                 eprintln!("{USAGE}");
                 return ExitCode::FAILURE;
@@ -66,9 +63,6 @@ fn main() -> ExitCode {
     let mut params = quick_params(seed);
     if ann {
         params.graph_backend = rhchme::GraphBackend::RpForest(mtrl_ann::RpForestParams::default());
-    }
-    if f32_mode {
-        params.precision = rhchme::Precision::F32;
     }
     // Every probe mode dumps the same shape: labels, G, S, a trace.
     let (doc_labels, labels_per_type, g, s, trace, iterations) = if ensemble {

@@ -33,6 +33,8 @@
 //! `cargo run --release -p mtrl-eval --bin quality_report -- QUALITY_quick.json`
 //! whenever a change intentionally moves clustering quality.
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 pub mod report;
 pub mod runner;

@@ -108,7 +108,6 @@ pub fn rhchme_config(params: &PipelineParams) -> RhchmeConfig {
         tol: params.tol,
         seed: params.seed,
         feature_cluster_divisor: params.feature_cluster_divisor,
-        precision: params.precision,
         ..RhchmeConfig::default()
     }
 }
@@ -157,7 +156,6 @@ pub fn run_matrix(
 fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<QualityScores> {
     let mut params = quick_params(seed);
     params.graph_backend = scenario.backend;
-    params.precision = scenario.precision;
     if opts.degrade {
         apply_degrade(&mut params);
     }

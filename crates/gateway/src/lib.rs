@@ -50,6 +50,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod server;
 pub mod wire;

@@ -49,7 +49,7 @@ pub enum WeightScheme {
 /// Rows per distance tile: bounds the per-worker scratch at
 /// `TILE * n` doubles (512 KB at `n = 2000`) while keeping the axpy
 /// kernel long enough to vectorise.
-pub(crate) const TILE: usize = 32;
+const TILE: usize = 32;
 
 /// Work threshold (`n² d` multiply-adds) below which the row fan-out is
 /// not worth a thread spawn.
@@ -134,7 +134,7 @@ pub fn knn_indices_serial(data: &Mat, p: usize) -> Vec<Vec<usize>> {
 
 /// Column-tile width of the Gram micro-kernel: four 4 KB output strips
 /// plus one 4 KB strip of `Xᵀ` stay L1-resident across the `k` loop.
-pub(crate) const JT: usize = 512;
+const JT: usize = 512;
 
 /// Neighbour lists for rows `[r0, r1)` via tiled Gram-trick distances.
 fn knn_rows(
@@ -412,7 +412,7 @@ pub fn dist_less(a: (f64, usize), b: (f64, usize)) -> bool {
 /// g_i + g_j + buf_j` and a `p`-element insertion set, no scratch tuple
 /// vector. Expected insertions are `O(p log n)`, so the scan is one
 /// compare per candidate almost everywhere.
-pub(crate) fn top_p_scan(
+fn top_p_scan(
     brow: &[f64],
     sq_norms: &[f64],
     i: usize,
@@ -518,7 +518,7 @@ pub fn pnn_graph_brute_reference(data: &Mat, p: usize, scheme: WeightScheme) -> 
     coo.to_csr().max_symmetrize()
 }
 
-pub(crate) fn auto_threads(data: &Mat) -> usize {
+fn auto_threads(data: &Mat) -> usize {
     let n = data.rows();
     if n * n * data.cols() < PAR_THRESHOLD {
         1

@@ -14,19 +14,19 @@
 //!
 //! Graphs are built over objects given as **rows** of a dense feature
 //! matrix with a parallel, blocked Gram-trick kernel (see [`knn`]) whose
-//! output is bit-identical for every thread count; [`knn_f32`] provides
-//! the f32-storage / f64-accumulation twins of the same chain for
-//! [`mtrl_linalg::Precision::F32`] mode. The weight matrices
-//! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
+//! output is bit-identical for every thread count; distances are stored
+//! and accumulated in `f64`. The weight matrices are sparse
+//! ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
 //! splits and `L·G` products of the multiplicative update run on CSR
 //! blocks; [`laplacian_dense`] remains as a `.to_dense()` shim for
 //! spectral utilities and tests.
 
+#![forbid(unsafe_code)]
+
 pub mod components;
 pub mod ensemble;
 pub mod knn;
-pub mod knn_f32;
 pub mod laplacian;
 mod serde_impl;
 
@@ -35,9 +35,5 @@ pub use knn::{
     center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, gram_sq_dist_x4,
     graph_from_neighbours, knn_indices, knn_indices_serial, knn_indices_with_threads, pnn_graph,
     pnn_graph_with_threads, select_p_nearest, WeightScheme,
-};
-pub use knn_f32::{
-    cross_sq_dist_map_f32, gram_sq_dist_f32, gram_sq_dist_x4_f32, knn_indices_f32,
-    knn_indices_f32_with_threads, pnn_graph_f32, pnn_graph_f32_with_threads,
 };
 pub use laplacian::{laplacian_csr, laplacian_dense, LaplacianKind};

@@ -9,8 +9,6 @@
 //! primitives without any external BLAS:
 //!
 //! * [`Mat`] — a row-major dense `f64` matrix with cache-friendly row access;
-//! * [`MatF32`] + [`Precision`] — the f32-storage / f64-accumulation
-//!   backend of the mixed-precision hot loops ([`matf32`], [`precision`]);
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
@@ -25,10 +23,16 @@
 //! * Euclidean projection onto the probability simplex ([`simplex`]),
 //!   needed by the RMC baseline's ensemble weights;
 //! * seeded random matrices ([`random`]) so every experiment is
-//!   deterministic.
+//!   deterministic;
+//! * [`Precision`], a one-variant `F64` tag kept only for config and
+//!   bundle compatibility ([`precision`]).
 //!
-//! The crate is deliberately free of `unsafe` code; hot loops are written
-//! so that bounds checks vanish after slicing rows.
+//! Every kernel stores and accumulates in `f64`, with one body each.
+//!
+//! The crate is free of `unsafe` code (`#![forbid(unsafe_code)]`); hot
+//! loops are written so that bounds checks vanish after slicing rows.
+
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod eigen;
@@ -36,7 +40,6 @@ pub mod error;
 pub mod kmeans;
 pub mod lowrank;
 pub mod mat;
-pub mod matf32;
 pub mod norms;
 pub mod ops;
 pub mod par;
@@ -51,7 +54,6 @@ pub mod vecops;
 pub use block::{BlockDiag, BlockSpec};
 pub use error::LinalgError;
 pub use mat::Mat;
-pub use matf32::MatF32;
 pub use precision::Precision;
 
 /// Numerical floor used to guard divisions in multiplicative updates.

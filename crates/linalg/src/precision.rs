@@ -1,46 +1,24 @@
-//! The storage-precision knob for the mixed-precision kernel backend.
+//! The vestigial storage-precision tag.
 //!
-//! [`Precision`] selects how the hot kernels *store* their operands —
-//! accumulation is always `f64` in both modes, so switching precision
-//! trades memory bandwidth (and therefore wall-clock on the
-//! bandwidth-bound loops) against the last ~7 decimal digits of the
-//! stored values, never against accumulation error. Configs across the
-//! workspace (`RhchmeConfig`, `PipelineParams`, the eval scenarios,
-//! `mtrl-stream`'s dynamic-graph config) carry this enum the same way
-//! they carry the ANN `GraphBackend`: switching a fit is a config
-//! change, never a new call site.
-//!
-//! The determinism contract is *per mode*: within [`Precision::F64`] and
-//! within [`Precision::F32`] results are bit-identical across thread
-//! counts, but the two modes legitimately differ from each other (f32
-//! storage rounds the operands).
+//! Every kernel in the workspace stores and accumulates in `f64`; there
+//! is no other mode. [`Precision`] survives only as a one-variant enum
+//! because two things outside the library still name it: the benchmark
+//! harness's replay (`perfbench/`) sets `EngineConfig::precision` and
+//! calls the precision-taking pNN Laplacian forward in `rhchme::intra`,
+//! and persisted v1/v2 model bundles embed the `RhchmeConfig` JSON with
+//! a `"precision":"F64"` field. A later benchmark change that updates
+//! the replay removes it.
 
-/// Storage precision of the hot kernel operands (`f64` accumulation in
-/// both modes).
+/// Storage precision of the hot kernel operands: always `f64`.
+///
+/// Kept (one variant, serde-derived) only so the benchmark replay keeps
+/// compiling and existing bundles keep loading; nothing reads it. A
+/// bundle naming any other precision fails to deserialise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum Precision {
-    /// Full double-precision storage — the reference mode.
+    /// Double-precision storage and accumulation.
     #[default]
     F64,
-    /// Single-precision storage with double-precision accumulation:
-    /// halved bandwidth on the Gram/SpMM/low-rank hot loops, quality
-    /// pinned by the eval gates.
-    F32,
-}
-
-impl Precision {
-    /// Whether this is the full-precision reference mode.
-    pub fn is_f64(&self) -> bool {
-        matches!(self, Precision::F64)
-    }
-
-    /// Short stable key for report/bench entry names.
-    pub fn key(&self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -49,22 +27,10 @@ mod tests {
     use serde::{Deserialize, Serialize, Value};
 
     #[test]
-    fn default_is_f64() {
-        assert!(Precision::default().is_f64());
-        assert!(!Precision::F32.is_f64());
-    }
-
-    #[test]
-    fn keys_are_distinct() {
-        assert_ne!(Precision::F64.key(), Precision::F32.key());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for p in [Precision::F64, Precision::F32] {
-            assert_eq!(Precision::from_value(&p.to_value()).unwrap(), p);
-        }
-        assert_eq!(Precision::F32.to_value(), Value::String("F32".into()));
-        assert!(Precision::from_value(&Value::String("F16".into())).is_err());
+    fn serde_pins_the_single_variant() {
+        let p = Precision::default();
+        assert_eq!(p.to_value(), Value::String("F64".into()));
+        assert_eq!(Precision::from_value(&p.to_value()).unwrap(), p);
+        assert!(Precision::from_value(&Value::String("F32".into())).is_err());
     }
 }

@@ -15,6 +15,8 @@
 //! [`pairwise_scores`] are provided for the extended analyses in
 //! EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod confusion;
 
 pub use confusion::Confusion;

@@ -28,6 +28,8 @@
 //! this by diffing `determinism_probe` dumps with `MTRL_OBS=1` against
 //! the uninstrumented baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod fit;
 pub mod hist;

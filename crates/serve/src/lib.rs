@@ -62,6 +62,8 @@
 //! assert_eq!(response.labels.len(), heldout.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assign;
 pub mod engine;
 pub mod error;

@@ -14,8 +14,7 @@
 //! # Layout
 //!
 //! All integers little-endian. The header is 32 bytes; every section
-//! payload starts at an 8-byte aligned offset (mmap-friendly: a reader
-//! may map the file and view `f64` sections in place on LE hardware).
+//! payload starts at an 8-byte aligned offset.
 //!
 //! ```text
 //! offset  size  field
@@ -507,6 +506,32 @@ mod tests {
             }
             other => panic!("expected SchemaVersion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn f32_precision_config_is_typed_corrupt() {
+        // Patch the embedded config to the retired f32 storage mode and
+        // re-seal, so the config parse (not the file digest) is what
+        // fires; `load_any` must return a typed error, never panic.
+        let mut bytes = to_bytes(&tiny_fitted_model(78)).unwrap();
+        let needle = b"\"precision\":\"F64\"";
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("config section carries the precision field");
+        bytes[at + needle.len() - 3..at + needle.len() - 1].copy_from_slice(b"32");
+        let digest_at = bytes.len() - 8;
+        let reseal = word_fnv(&bytes[..digest_at]);
+        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        let dir = std::env::temp_dir().join("mtrl_serve_binary_f32_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.mtrl");
+        std::fs::write(&path, &bytes).unwrap();
+        match crate::persist::load_any(&path) {
+            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("F32"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -47,8 +47,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
 pub mod binary;
-#[cfg(unix)]
-pub mod mmap;
 
 pub use binary::{from_bytes, load_binary, save_binary, to_bytes, BINARY_MAGIC, CONTAINER_VERSION};
 
@@ -151,25 +149,18 @@ pub fn load(path: impl AsRef<Path>) -> Result<FittedModel, ServeError> {
 /// model directory can hold a mix of generations and every file still
 /// loads.
 ///
-/// On unix the file is memory-mapped ([`mmap::MappedFile`]) instead of
-/// read into a heap buffer, so the binary parser and its digest pass
-/// stream straight from the page cache; every verification step (word
-/// digest for v2, content digest for v1) runs unchanged on the mapped
-/// bytes. Unmappable files (empty, exotic filesystems, non-unix
-/// targets) fall back to `std::fs::read`.
+/// The file is read whole into memory first, so a file truncated or
+/// rewritten while it loads surfaces as a typed [`ServeError`] (I/O or
+/// digest/parse failure), never as a crash.
 ///
 /// # Errors
 /// Propagates I/O errors and the chosen format's verification failures.
 pub fn load_any(path: impl AsRef<Path>) -> Result<FittedModel, ServeError> {
-    #[cfg(unix)]
-    if let Ok(map) = mmap::MappedFile::open(path.as_ref()) {
-        return parse_any(map.bytes());
-    }
     let bytes = std::fs::read(path)?;
     parse_any(&bytes)
 }
 
-/// Format-sniffing parse shared by the mapped and buffered paths.
+/// Format-sniffing parse behind [`load_any`].
 fn parse_any(bytes: &[u8]) -> Result<FittedModel, ServeError> {
     if bytes.starts_with(BINARY_MAGIC) {
         from_bytes(bytes)
@@ -252,6 +243,40 @@ mod tests {
         tampered.insert_str(at, "4242.0, ");
         // Either the digest or shape validation must notice.
         assert!(from_json(&tampered).is_err());
+    }
+
+    #[test]
+    fn default_config_json_is_pinned() {
+        // Every v1/v2 bundle embeds its `RhchmeConfig` as this JSON and
+        // folds it into the content digest, so the field set and the
+        // `"precision":"F64"` spelling must not move: a change here
+        // orphans every bundle saved before it.
+        let json = serde_json::to_string(&rhchme::RhchmeConfig::default()).unwrap();
+        assert_eq!(
+            json,
+            "{\"lambda\":0.05,\"gamma\":5,\"alpha\":1,\"beta\":50,\"p\":5,\
+             \"weight_scheme\":\"Cosine\",\"graph_backend\":\"Exact\",\"precision\":\"F64\",\
+             \"laplacian_kind\":\"SymNormalized\",\"spg_max_iter\":80,\"max_iter\":100,\
+             \"tol\":1e-6,\"seed\":2015,\"feature_cluster_divisor\":20,\"record_doc_labels\":false}"
+        );
+    }
+
+    #[test]
+    fn f32_precision_bundle_is_typed_corrupt() {
+        // A bundle naming the retired f32 storage mode must fail to load
+        // with a typed error, never a panic or a silent f64 fit.
+        let json = to_json(&tiny_fitted_model(35)).unwrap();
+        let f32_json = json.replacen("\"precision\": \"F64\"", "\"precision\": \"F32\"", 1);
+        assert_ne!(f32_json, json, "config JSON must carry the precision field");
+        let dir = std::env::temp_dir().join("mtrl_serve_persist_f32_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        std::fs::write(&path, f32_json).unwrap();
+        match load_any(&path) {
+            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("F32"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

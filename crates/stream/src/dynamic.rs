@@ -56,7 +56,7 @@ use mtrl_graph::{
 };
 use mtrl_linalg::par::num_threads;
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// Tuning knobs of a [`DynamicGraph`].
@@ -85,17 +85,6 @@ pub struct DynamicGraphConfig {
     /// Threshold rebuilds re-batch-build the index, healing leaf/tile
     /// growth from long insert streams.
     pub backend: GraphBackend,
-    /// Kernel storage precision. [`Precision::F32`] quantises every
-    /// *centred* row through f32 on arrival (and on rebuild), so all
-    /// stored distances are exactly what the f32-storage batch kernels
-    /// (`mtrl_graph::knn_f32`) compute: widening f32 → f64 is exact, so
-    /// running the unchanged f64 maintenance machinery on quantised
-    /// rows is bit-identical to true f32 storage. Centring means stay
-    /// f64 (quantise-after-centre, the same contract as the batch
-    /// path), raw rows are kept at full precision, and the exported
-    /// graph weights come from the raw rows — so precision only moves
-    /// neighbour selection where quantisation reorders near-ties.
-    pub precision: Precision,
 }
 
 impl Default for DynamicGraphConfig {
@@ -105,7 +94,6 @@ impl Default for DynamicGraphConfig {
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 0.5,
             backend: GraphBackend::Exact,
-            precision: Precision::F64,
         }
     }
 }
@@ -262,14 +250,10 @@ impl DynamicGraph {
         // Append raw + centred rows and their norms.
         self.features = self.features.vstack(rows).expect("same width");
         let mut centred_new = rows.clone();
-        let f32_mode = !self.cfg.precision.is_f64();
         for i in 0..b {
             let r = centred_new.row_mut(i);
             for (v, &m) in r.iter_mut().zip(&self.means) {
                 *v -= m;
-            }
-            if f32_mode {
-                quantize_row_f32(r);
             }
         }
         self.centered = self.centered.vstack(&centred_new).expect("same width");
@@ -484,14 +468,10 @@ impl DynamicGraph {
         let n_total = self.features.rows();
         self.means = alive_column_means(&self.features, &self.alive, self.n_alive);
         self.centered = self.features.clone();
-        let f32_mode = !self.cfg.precision.is_f64();
         for i in 0..n_total {
             let r = self.centered.row_mut(i);
             for (v, &m) in r.iter_mut().zip(&self.means) {
                 *v -= m;
-            }
-            if f32_mode {
-                quantize_row_f32(r);
             }
         }
         self.sq_norms = (0..n_total)
@@ -562,17 +542,6 @@ impl DynamicGraph {
     }
 }
 
-/// Quantise a centred row through f32 storage in place: `v as f32 as
-/// f64` is exactly the widened f32 value, so every downstream f64
-/// primitive (`gram_sq_dist`, `cross_sq_dist_map`, the ANN candidate
-/// path) computes bit-for-bit what the f32-storage kernels in
-/// `mtrl_graph::knn_f32` would on the same rows.
-fn quantize_row_f32(row: &mut [f64]) {
-    for v in row {
-        *v = *v as f32 as f64;
-    }
-}
-
 fn column_means(data: &Mat) -> Vec<f64> {
     let alive = vec![true; data.rows()];
     alive_column_means(data, &alive, data.rows())
@@ -625,14 +594,6 @@ mod tests {
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 1.0, // manual control in tests
             backend: GraphBackend::Exact,
-            precision: Precision::F64,
-        }
-    }
-
-    fn graph_cfg_f32(p: usize) -> DynamicGraphConfig {
-        DynamicGraphConfig {
-            precision: Precision::F32,
-            ..graph_cfg(p)
         }
     }
 
@@ -724,7 +685,6 @@ mod tests {
                 scheme: WeightScheme::Cosine,
                 rebuild_threshold: 0.0, // any patch trips it
                 backend: GraphBackend::Exact,
-                precision: Precision::F64,
             },
         );
         // A duplicate of row 0 patches its nearest neighbours → rebuild.
@@ -773,7 +733,6 @@ mod tests {
                     scheme: WeightScheme::Cosine,
                     rebuild_threshold: 1.0,
                     backend,
-                    precision: Precision::F64,
                 },
             );
             g.insert_batch(&data.submatrix(30, 0, 25, 5));
@@ -821,7 +780,6 @@ mod tests {
                         probes: 2,
                         seed: 3,
                     }),
-                    precision: Precision::F64,
                 },
             );
             g.insert_batch(&data.submatrix(60, 0, 40, 6));
@@ -845,85 +803,6 @@ mod tests {
             assert!(nb.iter().all(|&j| g.is_alive(j)));
         }
         assert_eq!(g.graph(), run().graph(), "deterministic lifecycle");
-    }
-
-    #[test]
-    fn f32_single_batch_matches_batch_pnn_f32() {
-        // Built in one batch, the F32-mode graph equals the f32-storage
-        // batch kernel's bit for bit: same f64 means, same
-        // quantise-after-centre rows, same pair function by the
-        // widening argument, and shared weighting from raw rows.
-        let data = rand_uniform(60, 7, -1.0, 1.0, 100);
-        let g = DynamicGraph::new(&data, graph_cfg_f32(4));
-        assert_eq!(
-            g.graph(),
-            mtrl_graph::pnn_graph_f32(&data, 4, WeightScheme::Cosine)
-        );
-        let nn = mtrl_graph::knn_indices_f32(&data, 4);
-        for (i, expect) in nn.iter().enumerate() {
-            assert_eq!(&g.neighbours(i), expect, "row {i}");
-        }
-    }
-
-    #[test]
-    fn f32_lifecycle_is_batch_split_invariant() {
-        // Same first batch → same means → identical quantised rows, so
-        // the pairwise maintenance contract holds verbatim in F32 mode.
-        let data = rand_uniform(55, 5, -1.0, 1.0, 106);
-        let build = |splits: &[usize]| {
-            let mut g = DynamicGraph::new(&data.submatrix(0, 0, splits[0], 5), graph_cfg_f32(4));
-            let mut at = splits[0];
-            for &s in &splits[1..] {
-                g.insert_batch(&data.submatrix(at, 0, s, 5));
-                at += s;
-            }
-            assert_eq!(at, 55);
-            g
-        };
-        let a = build(&[20, 35]);
-        let b = build(&[20, 1, 1, 33]);
-        assert_eq!(a.graph(), b.graph());
-        // Removal repair (gram_sq_dist scan over quantised rows) stays
-        // consistent with insertion distances.
-        let mut a = a;
-        let mut b = b;
-        assert!(a.remove(11));
-        assert!(b.remove(11));
-        assert_eq!(a.graph(), b.graph());
-        // A forced rebuild re-centres and re-quantises; both orders
-        // land on the same state.
-        a.rebuild();
-        b.rebuild();
-        assert_eq!(a.graph(), b.graph());
-    }
-
-    #[test]
-    fn f32_ann_exhaustive_matches_exact_f32_mode() {
-        // The ANN index is built over the quantised centred rows and
-        // distances go through the same pair function, so exhaustive
-        // settings reproduce exact F32 mode bit for bit.
-        let data = rand_uniform(70, 5, -1.0, 1.0, 107);
-        let run = |backend: GraphBackend| {
-            let mut g = DynamicGraph::new(
-                &data.submatrix(0, 0, 30, 5),
-                DynamicGraphConfig {
-                    backend,
-                    ..graph_cfg_f32(4)
-                },
-            );
-            g.insert_batch(&data.submatrix(30, 0, 25, 5));
-            g.remove(12);
-            g.insert_batch(&data.submatrix(55, 0, 15, 5));
-            g.graph()
-        };
-        let exact = run(GraphBackend::Exact);
-        let forest = run(GraphBackend::RpForest(mtrl_ann::RpForestParams {
-            trees: 2,
-            leaf_size: 6,
-            probes: usize::MAX,
-            seed: 9,
-        }));
-        assert_eq!(forest, exact);
     }
 
     #[test]

@@ -62,6 +62,8 @@
 //! assert!(second.refit.is_some()); // cadence refresh, warm-started
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dynamic;
 pub mod error;
 pub mod session;

@@ -454,7 +454,6 @@ impl StreamSession {
             beta: cfg.beta,
             p: cfg.p,
             graph_backend: cfg.graph_backend,
-            precision: cfg.precision,
             spg_max_iter: cfg.spg_max_iter,
             max_iter: cfg.max_iter,
             tol: cfg.tol,

@@ -29,6 +29,8 @@
 //! (`X ∈ R^{D x n}`) is the transpose, and the recovered affinity is
 //! symmetrised before graph use anyway.
 
+#![forbid(unsafe_code)]
+
 pub mod ista;
 pub mod spg;
 

@@ -11,6 +11,8 @@
 //! layer); the bench targets write paper-vs-measured JSON records under
 //! `target/bench-results/`.
 
+#![forbid(unsafe_code)]
+
 pub use mtrl_datagen as datagen;
 pub use mtrl_eval as eval;
 pub use mtrl_gateway as gateway;

@@ -91,31 +91,6 @@ fn sparse_engine_allocates_no_nxn_dense() {
         n * n
     );
 
-    // --- The f32-storage mode: the quantised operand copies (CsrF32,
-    // the MatF32 snapshots of G, RG and the low-rank factor) are all
-    // O(nnz) or O(n·c), and MatF32 constructors record into the same
-    // oracle, so the no-`n x n` guarantee holds in both precision modes.
-    let cfg32 = EngineConfig {
-        precision: mtrl_linalg::Precision::F32,
-        ..cfg.clone()
-    };
-    mtrl_linalg::mat::alloc_peak::reset();
-    let res32 = run_engine(&r, &data, &reg, g0.clone(), &cfg32).unwrap();
-    let peak32 = mtrl_linalg::mat::alloc_peak::peak_elems();
-    assert_eq!(res32.iterations, 15);
-    assert!(
-        peak32 <= 2 * n * c,
-        "f32-mode engine allocated a {peak32}-element dense matrix; \
-         the largest engine temporary must be O(n·c) = {}",
-        n * c
-    );
-    assert!(
-        peak32 * 8 < n * n,
-        "f32-mode engine peak {peak32} is within 8x of n² = {} — an n x n \
-         buffer leaked into the mixed-precision fit path",
-        n * n
-    );
-
     // --- The dense reference, by contrast, holds full n x n buffers
     // (this is exactly what the oracle must be able to see).
     let r_dense = data.assemble_r();

@@ -6,9 +6,8 @@
 
 use mtrl_linalg::ops::{matmul, matmul_nt, matmul_tn};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use proptest::prelude::*;
-use rhchme_repro::prelude::{run_method, CorpusConfig, Method, MultiTypeCorpus, PipelineParams};
 
 fn arb_mat(max_dim: usize) -> impl Strategy<Value = Mat> {
     (1..max_dim, 1..max_dim, any::<u64>())
@@ -116,23 +115,6 @@ proptest! {
             let par = mtrl_graph::pnn_graph_with_threads(&data, p, scheme, threads);
             prop_assert_eq!(par, serial);
         }
-    }
-
-    #[test]
-    fn parallel_knn_f32_bit_identical_to_serial(
-        n in 1usize..40,
-        d in 1usize..12,
-        p in 0usize..8,
-        threads in 2usize..9,
-        seed in any::<u64>()
-    ) {
-        // The mixed-precision twin makes the same promise as the f64
-        // kernel: neighbour lists are a pure function of the data,
-        // independent of the worker-thread count.
-        let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let serial = mtrl_graph::knn_indices_f32_with_threads(&data, p, 1);
-        let par = mtrl_graph::knn_indices_f32_with_threads(&data, p, threads);
-        prop_assert_eq!(par, serial);
     }
 
     #[test]
@@ -265,70 +247,6 @@ proptest! {
         }
         // Corrupted docs are a subset of documents.
         prop_assert!(c.corrupted_docs.iter().all(|&d| d < c.num_docs()));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mixed-precision invariants: the f32-storage backend must be a drop-in
-// for f64 at the *fit* level — same labels, same convergence contract —
-// not merely kernel-for-kernel bit-stable. Full RHCHME fits are orders
-// of magnitude costlier than the kernel properties above, so this block
-// runs far fewer cases.
-
-fn precision_corpus(seed: u64) -> MultiTypeCorpus {
-    mtrl_datagen::corpus::generate(&CorpusConfig {
-        docs_per_class: vec![10, 10, 10],
-        vocab_size: 80,
-        concept_count: 20,
-        doc_len_range: (35, 60),
-        background_frac: 0.3,
-        topic_noise: 0.25,
-        concept_map_noise: 0.1,
-        corrupt_frac: 0.1,
-        subtopics_per_class: 1,
-        view_confusion: 0.0,
-        seed,
-    })
-}
-
-fn precision_params(precision: Precision) -> PipelineParams {
-    PipelineParams {
-        max_iter: 25,
-        spg_max_iter: 20,
-        feature_cluster_divisor: 10,
-        precision,
-        ..PipelineParams::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn rhchme_f32_fit_labels_match_f64(seed in 0u64..1024) {
-        // Quantisation perturbs only near-tied neighbour pairs; on
-        // corpora with real cluster structure the fits must agree.
-        let c = precision_corpus(seed);
-        let f64_out = run_method(&c, Method::Rhchme, &precision_params(Precision::F64)).unwrap();
-        let f32_out = run_method(&c, Method::Rhchme, &precision_params(Precision::F32)).unwrap();
-        prop_assert_eq!(f32_out.doc_labels, f64_out.doc_labels);
-    }
-
-    #[test]
-    fn rhchme_f32_objective_trace_monotone_within_wiggle(seed in 0u64..1024) {
-        // Theorem 1's descent property must survive quantisation: the
-        // f32 backend's trace obeys the same 5e-3 relative wiggle
-        // tolerance the f64 path is held to (`integration_methods`).
-        let c = precision_corpus(seed ^ 0x9e37);
-        let out = run_method(&c, Method::Rhchme, &precision_params(Precision::F32)).unwrap();
-        let t = &out.objective_trace;
-        prop_assert!(!t.is_empty());
-        for w in t.windows(2) {
-            prop_assert!(
-                w[1] <= w[0] * (1.0 + 5e-3) + 1e-9,
-                "f32 objective rose {} -> {}", w[0], w[1]
-            );
-        }
     }
 }
 
