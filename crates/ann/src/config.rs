@@ -38,36 +38,6 @@ impl Default for RpForestParams {
     }
 }
 
-/// Cluster-pruned (IVF-style) backend parameters.
-///
-/// A k-means coarse quantiser (reusing `rhchme::kmeans`, itself re-homed
-/// in `mtrl_linalg::kmeans`) partitions the rows into `tiles` cells; a
-/// query routes to its `probe_tiles` nearest centroids and scans only
-/// those members with the blocked Gram kernel. `tiles = 1` is a single
-/// cell containing everything — exhaustive, bit-identical to exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterParams {
-    /// Quantiser cells; `0` selects `⌈√n⌉` at build time.
-    pub tiles: usize,
-    /// Cells scanned per query (more → higher recall, slower).
-    pub probe_tiles: usize,
-    /// Rows sampled (deterministic stride) to train the quantiser.
-    pub quantiser_sample: usize,
-    /// Seed for the k-means++ initialisation.
-    pub seed: u64,
-}
-
-impl Default for ClusterParams {
-    fn default() -> Self {
-        ClusterParams {
-            tiles: 0,
-            probe_tiles: 4,
-            quantiser_sample: 2048,
-            seed: 0x00C1_0A7E,
-        }
-    }
-}
-
 /// Which neighbour-search kernel builds the pNN graph.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GraphBackend {
@@ -77,8 +47,6 @@ pub enum GraphBackend {
     Exact,
     /// Random-projection tree forest with multi-probe descent.
     RpForest(RpForestParams),
-    /// Cluster-pruned Gram-tile search behind a k-means quantiser.
-    ClusterPruned(ClusterParams),
 }
 
 impl GraphBackend {
@@ -92,7 +60,6 @@ impl GraphBackend {
         match self {
             GraphBackend::Exact => "exact",
             GraphBackend::RpForest(_) => "rp_forest",
-            GraphBackend::ClusterPruned(_) => "cluster",
         }
     }
 }
@@ -112,7 +79,6 @@ mod tests {
         let keys = [
             GraphBackend::Exact.key(),
             GraphBackend::RpForest(RpForestParams::default()).key(),
-            GraphBackend::ClusterPruned(ClusterParams::default()).key(),
         ];
         assert_eq!(keys.len(), {
             let mut k = keys.to_vec();

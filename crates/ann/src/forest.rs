@@ -15,7 +15,6 @@
 //! maintenance relies on.
 
 use crate::config::RpForestParams;
-use crate::index::NeighbourIndex;
 use mtrl_linalg::vecops::dot;
 use mtrl_linalg::Mat;
 use rand::rngs::StdRng;
@@ -195,6 +194,15 @@ impl Tree {
 }
 
 /// A forest of random-projection trees over centred rows.
+///
+/// The index stores global row ids, never rows: callers keep the
+/// (centred) feature matrix and compute distances themselves through
+/// the exact kernel primitives, so the index can only *miss*
+/// neighbours, never change a distance. All `row` arguments must be
+/// centred by the same fixed translation as the rows the index was
+/// built from (batch callers use [`mtrl_graph::center_columns`];
+/// incremental callers such as `mtrl-stream`'s `DynamicGraph` use their
+/// fixed first-batch means).
 #[derive(Debug, Clone)]
 pub struct RpForestIndex {
     params: RpForestParams,
@@ -221,16 +229,17 @@ impl RpForestIndex {
             len: rows.rows(),
         }
     }
-}
 
-impl NeighbourIndex for RpForestIndex {
-    fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
+    /// Append candidate ids for a query row. May contain duplicates and
+    /// the query's own id; callers sort/dedup/filter.
+    pub fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
         for tree in &self.trees {
             tree.probe(row, self.params.probes, out);
         }
     }
 
-    fn insert(&mut self, id: usize, row: &[f64]) {
+    /// Register a new row under `id` (routed to its leaf in every tree).
+    pub fn insert(&mut self, id: usize, row: &[f64]) {
         for tree in &mut self.trees {
             let members = tree.route_mut(row);
             // Keep leaves sorted so candidate order stays deterministic.
@@ -240,7 +249,9 @@ impl NeighbourIndex for RpForestIndex {
         self.len += 1;
     }
 
-    fn remove(&mut self, id: usize, row: &[f64]) {
+    /// Drop `id`, located by routing `row` exactly as [`Self::insert`]
+    /// would — the row must therefore be the one inserted under `id`.
+    pub fn remove(&mut self, id: usize, row: &[f64]) {
         for tree in &mut self.trees {
             let members = tree.route_mut(row);
             if let Ok(pos) = members.binary_search(&id) {
@@ -250,8 +261,14 @@ impl NeighbourIndex for RpForestIndex {
         self.len = self.len.saturating_sub(1);
     }
 
-    fn len(&self) -> usize {
+    /// Number of indexed rows.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the index holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 

@@ -1,6 +1,5 @@
-//! The [`NeighbourIndex`] trait and the batch drivers that turn an
-//! approximate index into the neighbour-list / graph structures the
-//! exact path produces.
+//! The batch drivers that turn an [`RpForestIndex`] into the
+//! neighbour-list / graph structures the exact path produces.
 //!
 //! # The bit-exactness contract
 //!
@@ -19,12 +18,11 @@
 //! Selection under a total order is independent of candidate order, so
 //! whenever the candidate set *covers* the true `p` nearest the output
 //! list equals the exact list bit for bit — in particular at exhaustive
-//! settings (forest probing every leaf, quantiser with one tile), for
-//! every thread count. That is the property the cross-backend proptests
-//! pin.
+//! settings (the forest probing every leaf), for every thread count.
+//! That is the property the ANN↔exact proptests pin.
 
 use crate::config::GraphBackend;
-use crate::{cluster::ClusterIndex, forest::RpForestIndex};
+use crate::forest::RpForestIndex;
 use mtrl_graph::knn::{
     center_columns, dist_less, gram_sq_dist, gram_sq_dist_x4, graph_from_neighbours,
     knn_indices_with_threads, pnn_graph_with_threads, select_p_nearest, WeightScheme,
@@ -34,109 +32,23 @@ use mtrl_linalg::vecops::dot;
 use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
-/// An approximate nearest-neighbour index over centred feature rows.
-///
-/// Implementations store global row ids, never rows: callers keep the
-/// (centred) feature matrix and compute distances themselves through
-/// the exact kernel primitives, so an index can only *miss* neighbours,
-/// never change a distance. All `row` arguments must be centred by the
-/// same fixed translation as the rows the index was built from
-/// (batch callers use [`mtrl_graph::center_columns`]; incremental
-/// callers such as `mtrl-stream`'s `DynamicGraph` use their fixed
-/// first-batch means).
-pub trait NeighbourIndex: Send + Sync {
-    /// Append candidate ids for a query row. May contain duplicates and
-    /// the query's own id; callers sort/dedup/filter.
-    fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>);
-
-    /// Register a new row under `id` (routed to its leaf/tile).
-    fn insert(&mut self, id: usize, row: &[f64]);
-
-    /// Drop `id`, located by routing `row` exactly as [`Self::insert`]
-    /// would — the row must therefore be the one inserted under `id`.
-    fn remove(&mut self, id: usize, row: &[f64]);
-
-    /// Number of indexed rows.
-    fn len(&self) -> usize;
-
-    /// Whether the index holds no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The concrete union of the backends' index types, for holders that
-/// need `Clone`/`Debug` (e.g. `mtrl-stream`'s `DynamicGraph`, which is
-/// itself clonable). Delegates [`NeighbourIndex`] verbatim.
-#[derive(Debug, Clone)]
-pub enum AnyIndex {
-    /// A random-projection tree forest.
-    RpForest(RpForestIndex),
-    /// A cluster-pruned (IVF-style) index.
-    ClusterPruned(ClusterIndex),
-}
-
-impl NeighbourIndex for AnyIndex {
-    fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
-        match self {
-            AnyIndex::RpForest(i) => i.candidates_into(row, out),
-            AnyIndex::ClusterPruned(i) => i.candidates_into(row, out),
-        }
-    }
-
-    fn insert(&mut self, id: usize, row: &[f64]) {
-        match self {
-            AnyIndex::RpForest(i) => i.insert(id, row),
-            AnyIndex::ClusterPruned(i) => i.insert(id, row),
-        }
-    }
-
-    fn remove(&mut self, id: usize, row: &[f64]) {
-        match self {
-            AnyIndex::RpForest(i) => i.remove(id, row),
-            AnyIndex::ClusterPruned(i) => i.remove(id, row),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::RpForest(i) => i.len(),
-            AnyIndex::ClusterPruned(i) => i.len(),
-        }
-    }
-}
-
 /// Build the index a backend describes over `centered` rows, where row
 /// `k` carries global id `ids[k]`. Returns `None` for
 /// [`GraphBackend::Exact`] — the exact kernel needs no index.
 ///
 /// # Panics
 /// Panics if `ids.len() != centered.rows()`.
-pub fn build_any_index(centered: &Mat, ids: &[usize], backend: &GraphBackend) -> Option<AnyIndex> {
+pub fn build_any_index(
+    centered: &Mat,
+    ids: &[usize],
+    backend: &GraphBackend,
+) -> Option<RpForestIndex> {
     assert_eq!(ids.len(), centered.rows(), "one id per row");
     let _span = mtrl_obs::span!("ann.index_build");
     match backend {
         GraphBackend::Exact => None,
-        GraphBackend::RpForest(p) => {
-            Some(AnyIndex::RpForest(RpForestIndex::build(centered, ids, p)))
-        }
-        GraphBackend::ClusterPruned(p) => Some(AnyIndex::ClusterPruned(ClusterIndex::build(
-            centered, ids, p,
-        ))),
+        GraphBackend::RpForest(p) => Some(RpForestIndex::build(centered, ids, p)),
     }
-}
-
-/// [`build_any_index`] behind a trait object, for callers generic over
-/// [`NeighbourIndex`] implementations.
-///
-/// # Panics
-/// Panics if `ids.len() != centered.rows()`.
-pub fn build_index(
-    centered: &Mat,
-    ids: &[usize],
-    backend: &GraphBackend,
-) -> Option<Box<dyn NeighbourIndex>> {
-    build_any_index(centered, ids, backend).map(|i| Box::new(i) as Box<dyn NeighbourIndex>)
 }
 
 /// Reusable per-worker workspace of [`select_from_candidates`]: the
@@ -241,7 +153,8 @@ pub fn knn_indices_backend(
         .map(|i| dot(centered.row(i), centered.row(i)))
         .collect();
     let ids: Vec<usize> = (0..n).collect();
-    let index = build_index(&centered, &ids, backend).expect("non-exact backend builds an index");
+    let index =
+        build_any_index(&centered, &ids, backend).expect("non-exact backend builds an index");
     let _span = mtrl_obs::span!("ann.knn_search");
     par_chunks_map(n, threads, |range| {
         let mut cands = Vec::new();

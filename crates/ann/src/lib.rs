@@ -6,15 +6,14 @@
 //! Every manifold in the paper's heterogeneous ensemble is anchored on
 //! a pNN graph; the exact all-pairs Gram kernel (`mtrl_graph::knn`) is
 //! the last quadratic stage in the system and the hard cap on corpus
-//! size. This crate supplies two std-only approximate backends unified
-//! behind the [`NeighbourIndex`] trait:
+//! size. This crate supplies one std-only approximate backend, a
+//! random-projection tree forest:
 //!
 //! | backend | build | query | knobs |
 //! |---|---|---|---|
 //! | [`forest::RpForestIndex`] | O(n log n) per tree | multi-probe descent | `trees`, `leaf_size`, `probes` |
-//! | [`cluster::ClusterIndex`] | k-means sample + one routing pass | nearest `probe_tiles` tiles | `tiles`, `probe_tiles` |
 //!
-//! Both produce the same index-sorted neighbour-list structure
+//! It produces the same index-sorted neighbour-list structure
 //! `mtrl_graph::graph_from_neighbours` consumes, so `pnn_graph`,
 //! `mtrl-stream`'s `DynamicGraph` and the eval runner all gain
 //! approximate mode via the [`GraphBackend`] config enum rather than
@@ -22,13 +21,13 @@
 //!
 //! ## Exactness and determinism
 //!
-//! Indexes generate *candidates only*; distances and selection reuse
-//! the exact kernel's primitives (`gram_sq_dist`, `dist_less`,
-//! `select_p_nearest`), so at exhaustive settings — forest probing
-//! every leaf, quantiser with a single tile — the output is
-//! **bit-identical** to `knn_indices`, and at any setting the output is
-//! bit-identical across thread counts (see [`index`] for the argument,
-//! and the cross-backend proptests for the pin).
+//! The index generates *candidates only*; distances and selection
+//! reuse the exact kernel's primitives (`gram_sq_dist`, `dist_less`,
+//! `select_p_nearest`), so at exhaustive settings — the forest probing
+//! every leaf — the output is **bit-identical** to `knn_indices`, and
+//! at any setting the output is bit-identical across thread counts (see
+//! [`index`] for the argument, and the ANN↔exact proptests for the
+//! pin).
 //!
 //! ## The correctness oracle
 //!
@@ -39,18 +38,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod config;
 pub mod forest;
 pub mod index;
 pub mod recall;
 mod serde_impl;
 
-pub use cluster::ClusterIndex;
-pub use config::{ClusterParams, GraphBackend, RpForestParams};
+pub use config::{GraphBackend, RpForestParams};
 pub use forest::RpForestIndex;
 pub use index::{
-    build_any_index, build_index, insert_capped, knn_indices_backend, pnn_graph_backend,
-    select_from_candidates, AnyIndex, NeighbourIndex, QueryScratch,
+    build_any_index, insert_capped, knn_indices_backend, pnn_graph_backend, select_from_candidates,
+    QueryScratch,
 };
 pub use recall::{sampled_recall, RecallProbe, RecallResult};

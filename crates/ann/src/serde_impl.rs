@@ -2,10 +2,10 @@
 //!
 //! Hand-written because the variants carry data, which the vendored
 //! derive does not cover. `Exact` serializes as the string `"Exact"`;
-//! the parameterised backends as `{"kind": ..., <fields>}` with the
+//! the parameterised backend as `{"kind": ..., <fields>}` with the
 //! fields inlined, mirroring `mtrl_graph`'s `WeightScheme` convention.
 
-use crate::config::{ClusterParams, GraphBackend, RpForestParams};
+use crate::config::{GraphBackend, RpForestParams};
 use serde::{Deserialize, Error, Serialize, Value};
 
 impl Serialize for GraphBackend {
@@ -17,16 +17,6 @@ impl Serialize for GraphBackend {
                 ("trees".to_string(), p.trees.to_value()),
                 ("leaf_size".to_string(), p.leaf_size.to_value()),
                 ("probes".to_string(), p.probes.to_value()),
-                ("seed".to_string(), p.seed.to_value()),
-            ]),
-            GraphBackend::ClusterPruned(p) => Value::Object(vec![
-                ("kind".to_string(), Value::String("ClusterPruned".into())),
-                ("tiles".to_string(), p.tiles.to_value()),
-                ("probe_tiles".to_string(), p.probe_tiles.to_value()),
-                (
-                    "quantiser_sample".to_string(),
-                    p.quantiser_sample.to_value(),
-                ),
                 ("seed".to_string(), p.seed.to_value()),
             ]),
         }
@@ -53,12 +43,6 @@ impl Deserialize for GraphBackend {
                         probes: usize::from_value(v.get_field("probes")?)?,
                         seed: u64::from_value(v.get_field("seed")?)?,
                     })),
-                    "ClusterPruned" => Ok(GraphBackend::ClusterPruned(ClusterParams {
-                        tiles: usize::from_value(v.get_field("tiles")?)?,
-                        probe_tiles: usize::from_value(v.get_field("probe_tiles")?)?,
-                        quantiser_sample: usize::from_value(v.get_field("quantiser_sample")?)?,
-                        seed: u64::from_value(v.get_field("seed")?)?,
-                    })),
                     other => Err(Error(format!("unknown GraphBackend kind `{other}`"))),
                 }
             }
@@ -83,12 +67,6 @@ mod tests {
                 leaf_size: 17,
                 probes: 5,
                 seed: 99,
-            }),
-            GraphBackend::ClusterPruned(ClusterParams {
-                tiles: 12,
-                probe_tiles: 2,
-                quantiser_sample: 500,
-                seed: 7,
             }),
         ] {
             let back = GraphBackend::from_value(&backend.to_value()).unwrap();

@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    knn_indices_with_threads, laplacian_csr, laplacian_dense, pnn_graph, pnn_graph_with_threads,
-    LaplacianKind, WeightScheme,
+    knn_indices_with_threads, laplacian_csr, pnn_graph, pnn_graph_with_threads, LaplacianKind,
+    WeightScheme,
 };
 use mtrl_linalg::random::rand_uniform;
 use std::hint::black_box;
@@ -94,12 +94,6 @@ fn bench_laplacian(c: &mut Criterion) {
     let w = pnn_graph(&data, 5, WeightScheme::Cosine);
     c.bench_function("laplacian_csr_sym_normalized_400", |bencher| {
         bencher.iter(|| laplacian_csr(black_box(&w), LaplacianKind::SymNormalized));
-    });
-    c.bench_function("laplacian_sym_normalized_400", |bencher| {
-        bencher.iter(|| laplacian_dense(black_box(&w), LaplacianKind::SymNormalized));
-    });
-    c.bench_function("laplacian_unnormalized_400", |bencher| {
-        bencher.iter(|| laplacian_dense(black_box(&w), LaplacianKind::Unnormalized));
     });
 }
 

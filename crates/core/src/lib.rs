@@ -57,7 +57,7 @@ pub use export::{FittedModel, SCHEMA_VERSION};
 pub use mtrl_ann::GraphBackend;
 pub use multitype::MultiTypeData;
 pub use pipeline::{
-    run_method, run_spec, EnsembleSpec, FitRequest, MergeStrategy, Method, MethodOutput, MethodSpec,
+    run_spec, EnsembleSpec, FitRequest, MergeStrategy, Method, MethodOutput, MethodSpec,
 };
 pub use rhchme::{Rhchme, RhchmeConfig, RhchmeResult, WarmStart};
 

@@ -8,13 +8,12 @@
 //! [`Artifacts`] so parameter sweeps recompute only what a swept
 //! parameter actually touches (Fig. 2).
 //!
-//! # Method-dispatch API contract (the `Method` → `MethodSpec` migration)
+//! # Method-dispatch API contract
 //!
-//! Through PR 9 the dispatch type was the closed `Copy` enum [`Method`]
-//! and the entry point was `run_method(corpus, method, params)`. A method
-//! that carries its *own* configuration — the consensus-ensemble layer's
-//! generator pool, ensemble size and merge strategy — cannot be a unit
-//! variant of a `Copy` enum, so the dispatch surface was redesigned:
+//! A method that carries its *own* configuration — the
+//! consensus-ensemble layer's generator pool, ensemble size and merge
+//! strategy — cannot be a unit variant of the closed `Copy` enum
+//! [`Method`], so dispatch goes through an open specification type:
 //!
 //! * [`MethodSpec`] is the specification type: `MethodSpec::Base(Method)`
 //!   wraps the seven paper methods unchanged; [`MethodSpec::Ensemble`]
@@ -28,13 +27,12 @@
 //!   Callers that may receive an ensemble spec (the eval runner, demos)
 //!   dispatch through `mtrl_ensemble::run_spec`; callers that only ever
 //!   run base methods may use this function directly.
-//! * [`run_method`] is **kept, not deprecated**: it is a thin shim over
-//!   `run_spec(corpus, &MethodSpec::from(method), params)` via the
-//!   [`From<Method>`] impl, so the `Method::all()` table-order benches
-//!   and every existing call site compile unchanged.
-//! * [`MethodOutput::method`] is now a [`MethodSpec`] (it was a
-//!   [`Method`]); use [`MethodSpec::key`] for stable report keys and
-//!   [`MethodSpec::as_base`] to recover the old enum where one applies.
+//! * A base [`Method`] converts with [`From<Method>`], so running one is
+//!   `run_spec(corpus, &method.into(), params)`.
+//! * [`MethodOutput::method`] is a [`MethodSpec`]; use
+//!   [`MethodSpec::key`] for stable report keys and
+//!   [`MethodSpec::as_base`] to recover the base [`Method`] where one
+//!   applies.
 
 use crate::baselines::{
     run_drcc, run_rmc, run_snmtf, run_src, DrccConfig, DrccVariant, RmcConfig, SnmtfConfig,
@@ -350,6 +348,30 @@ impl Default for PipelineParams {
     }
 }
 
+impl PipelineParams {
+    /// The estimator-side view of this bundle: the [`RhchmeConfig`]
+    /// every direct `Rhchme` construction maps it to. The eleven shared
+    /// fields are copied; `record_doc_labels` keeps the
+    /// [`RhchmeConfig`] default (off), and [`run_spec`] switches it on
+    /// from [`Self::record_doc_labels`].
+    pub fn rhchme_config(&self) -> RhchmeConfig {
+        RhchmeConfig {
+            lambda: self.lambda,
+            gamma: self.gamma,
+            alpha: self.alpha,
+            beta: self.beta,
+            p: self.p,
+            graph_backend: self.graph_backend,
+            spg_max_iter: self.spg_max_iter,
+            max_iter: self.max_iter,
+            tol: self.tol,
+            seed: self.seed,
+            feature_cluster_divisor: self.feature_cluster_divisor,
+            ..RhchmeConfig::default()
+        }
+    }
+}
+
 /// Unified method output for the benches.
 #[derive(Debug, Clone)]
 pub struct MethodOutput {
@@ -381,20 +403,6 @@ impl MethodOutput {
     pub fn quality(&self, truth: &[usize]) -> mtrl_metrics::QualityScores {
         mtrl_metrics::quality_scores(truth, &self.doc_labels)
     }
-}
-
-/// Run one method end to end on a corpus — the compatibility shim over
-/// [`run_spec`] kept for the `Method::all()` table-order benches (see the
-/// module-level API contract).
-///
-/// # Errors
-/// Propagates data-assembly and optimisation errors.
-pub fn run_method(
-    corpus: &MultiTypeCorpus,
-    method: Method,
-    params: &PipelineParams,
-) -> Result<MethodOutput> {
-    run_spec(corpus, &MethodSpec::from(method), params)
 }
 
 /// Run a [`MethodSpec`] end to end on a corpus.
@@ -504,19 +512,8 @@ pub fn run_spec(
         }
         Method::Rhchme => {
             let model = Rhchme::new(RhchmeConfig {
-                lambda: params.lambda,
-                gamma: params.gamma,
-                alpha: params.alpha,
-                beta: params.beta,
-                p: params.p,
-                graph_backend: params.graph_backend,
-                spg_max_iter: params.spg_max_iter,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                seed: params.seed,
-                feature_cluster_divisor: params.feature_cluster_divisor,
                 record_doc_labels: params.record_doc_labels,
-                ..RhchmeConfig::default()
+                ..params.rhchme_config()
             });
             // Assemble the multi-type data once and share it between the
             // fit and the export (export_model would rebuild it).
@@ -774,7 +771,7 @@ mod tests {
         let c = corpus();
         let params = fast_params();
         for method in Method::all() {
-            let out = run_method(&c, method, &params).unwrap();
+            let out = run_spec(&c, &method.into(), &params).unwrap();
             assert_eq!(out.doc_labels.len(), 16, "{method:?}");
             assert!(!out.objective_trace.is_empty(), "{method:?}");
             assert!(out.elapsed.as_nanos() > 0);
@@ -796,12 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_shim_matches_run_method_and_rejects_ensemble() {
+    fn run_spec_tags_base_output_and_rejects_ensemble() {
         let c = corpus();
         let params = fast_params();
-        let via_method = run_method(&c, Method::Src, &params).unwrap();
         let via_spec = run_spec(&c, &MethodSpec::from(Method::Src), &params).unwrap();
-        assert_eq!(via_method.doc_labels, via_spec.doc_labels);
         assert_eq!(via_spec.method, MethodSpec::Base(Method::Src));
         assert_eq!(via_spec.method.as_base(), Some(Method::Src));
 

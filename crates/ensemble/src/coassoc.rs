@@ -50,11 +50,6 @@ impl CoAssocBuilder {
         self.partitions.push(labels.to_vec());
     }
 
-    /// Number of partitions accumulated so far.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Build the sparse symmetric co-association matrix, keeping each
     /// object's `p` strongest co-cluster neighbours before
     /// symmetrisation. Entry values are co-clustering frequencies in

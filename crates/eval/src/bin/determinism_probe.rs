@@ -29,7 +29,7 @@
 //! for the output path.
 
 use mtrl_datagen::{seed_from_env, CorruptionSpec};
-use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
+use mtrl_eval::{quick_params, CorpusShape};
 use rhchme::pipeline::EnsembleSpec;
 use rhchme::rhchme::Rhchme;
 use std::process::ExitCode;
@@ -78,7 +78,7 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        let rhchme = Rhchme::new(rhchme_config(&params));
+        let rhchme = Rhchme::new(params.rhchme_config());
         match rhchme.fit_corpus(&corpus) {
             Ok(r) => (
                 r.doc_labels,

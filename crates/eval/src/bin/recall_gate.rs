@@ -1,11 +1,11 @@
-//! CI recall gate for the approximate-NN backends.
+//! CI recall gate for the approximate-NN backend.
 //!
 //! ```text
 //! recall_gate <out.json> [--baseline <committed.json>]
 //! ```
 //!
-//! Measures sampled recall@p ([`mtrl_ann::sampled_recall`]) for every
-//! approximate backend on the fixed probe set below and writes a
+//! Measures sampled recall@p ([`mtrl_ann::sampled_recall`]) of the RP
+//! forest on the fixed probe set below and writes a
 //! provenance-stamped summary (same meta header as `QUALITY_quick.json`
 //! / the `BENCH_*.json` baselines). With `--baseline`, the fresh
 //! numbers are additionally gated against the committed file: entry
@@ -17,7 +17,7 @@
 //! kernels), so the gate is stable: a failure is a code change, not a
 //! noisy runner.
 
-use mtrl_ann::{sampled_recall, ClusterParams, GraphBackend, RecallProbe, RpForestParams};
+use mtrl_ann::{sampled_recall, GraphBackend, RecallProbe, RpForestParams};
 use mtrl_eval::report::{
     append_step_summary, check_entry_sets, check_meta, json_string, load_summary, markdown_table,
     ReportMeta,
@@ -36,26 +36,16 @@ const RECALL_SCHEMA: &str = "mtrl-recall-summary/v1";
 const RECALL_FLOOR: f64 = 0.95;
 
 /// The fixed probe set: `(entry name, n, d, p, backend)`. Sizes span
-/// the regimes the eval matrix and stream subsystem run the backends
+/// the regimes the eval matrix and stream subsystem run the backend
 /// at; data is seeded independently of `MTRL_SEED` so the committed
 /// floor means the same thing on every run (mirroring the quality
 /// matrix's fixed scenario seeds).
 fn probe_set() -> Vec<(String, usize, usize, usize, GraphBackend)> {
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let cluster = GraphBackend::ClusterPruned(ClusterParams::default());
-    let mut set = Vec::new();
-    for (n, d, p) in [(2000usize, 32usize, 5usize), (20_000, 32, 5)] {
-        for backend in [&forest, &cluster] {
-            set.push((
-                format!("{}/n{n}_d{d}_p{p}", backend.key()),
-                n,
-                d,
-                p,
-                *backend,
-            ));
-        }
-    }
-    set
+    [(2000usize, 32usize, 5usize), (20_000, 32, 5)]
+        .into_iter()
+        .map(|(n, d, p)| (format!("{}/n{n}_d{d}_p{p}", forest.key()), n, d, p, forest))
+        .collect()
 }
 
 /// Deterministic clustered probe data: `k` centroids plus per-row

@@ -14,7 +14,7 @@
 //!   feature-noise / relation-corruption cold fits of all four HOCC
 //!   methods plus the serve fold-in and stream warm-refit paths;
 //! * [`runner`] — executes scenarios end to end through
-//!   `pipeline::run_method`, `mtrl-serve` and `mtrl-stream`, scoring
+//!   `mtrl_ensemble::run_spec`, `mtrl-serve` and `mtrl-stream`, scoring
 //!   FScore/NMI/ARI over a fixed seed matrix (bit-reproducible given
 //!   the build);
 //! * [`report`] — the versioned `QUALITY_*.json` format with the
@@ -42,7 +42,5 @@ pub mod scenario;
 
 pub use gate::{bench_gate, quality_gate, GateReport, BENCH_TOLERANCE, QUALITY_TOLERANCE};
 pub use report::{QualityReport, ReportMeta, ScenarioStats, Stat};
-pub use runner::{
-    quick_params, rhchme_config, run_matrix, run_scenario, RunOptions, ScenarioResult,
-};
+pub use runner::{quick_params, run_matrix, run_scenario, RunOptions, ScenarioResult};
 pub use scenario::{quick_matrix, CorpusShape, EvalPath, Scenario, QUICK_SEEDS};

@@ -20,7 +20,7 @@ use mtrl_metrics::{quality_scores, QualityScores};
 use mtrl_serve::{Assigner, SparseVec};
 use mtrl_stream::{RefreshPolicy, StreamSession};
 use rhchme::pipeline::PipelineParams;
-use rhchme::rhchme::{Rhchme, RhchmeConfig};
+use rhchme::rhchme::Rhchme;
 
 /// Eval-layer result: failures carry a human-readable context string.
 pub type Result<T> = std::result::Result<T, String>;
@@ -91,27 +91,6 @@ fn apply_degrade(params: &mut PipelineParams) {
     params.beta = 1e9;
 }
 
-/// The estimator-side view of a [`PipelineParams`] bundle — the single
-/// mapping every direct `Rhchme` construction in the evaluation layer
-/// (serve/stream scenario paths, `determinism_probe`) goes through, so
-/// a change to [`quick_params`] reaches all of them.
-pub fn rhchme_config(params: &PipelineParams) -> RhchmeConfig {
-    RhchmeConfig {
-        lambda: params.lambda,
-        gamma: params.gamma,
-        alpha: params.alpha,
-        beta: params.beta,
-        p: params.p,
-        graph_backend: params.graph_backend,
-        spg_max_iter: params.spg_max_iter,
-        max_iter: params.max_iter,
-        tol: params.tol,
-        seed: params.seed,
-        feature_cluster_divisor: params.feature_cluster_divisor,
-        ..RhchmeConfig::default()
-    }
-}
-
 /// Run one scenario across a seed matrix.
 ///
 /// # Errors
@@ -168,7 +147,7 @@ fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<Quality
         EvalPath::ServeFoldIn => {
             let corpus = scenario.corruption.corpus(&scenario.shape.config(), seed);
             let (train, heldout) = split_corpus(&corpus, 0.35, seed);
-            let rhchme = Rhchme::new(rhchme_config(&params));
+            let rhchme = Rhchme::new(params.rhchme_config());
             let result = rhchme.fit_corpus(&train).map_err(|e| e.to_string())?;
             let model = rhchme
                 .export_model(&result, &train)
@@ -199,7 +178,7 @@ fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<Quality
             let num_terms = initial.num_terms();
             let mut session = StreamSession::new(
                 initial,
-                Rhchme::new(rhchme_config(&params)),
+                Rhchme::new(params.rhchme_config()),
                 RefreshPolicy {
                     // Triggers off: the scenario exercises the warm-refit
                     // path deterministically via refit_now below, so the

@@ -57,35 +57,3 @@ pub mod server;
 pub mod wire;
 
 pub use server::{Gateway, GatewayConfig, GatewayStats};
-
-use mtrl_serve::{persist, ServeEngine, ServeError};
-use std::path::Path;
-
-/// Register every model file in `dir` (any format [`persist::load_any`]
-/// understands — v1 JSON or v2 binary) under its file stem. Returns the
-/// registered names, sorted.
-///
-/// # Errors
-/// Propagates directory-read and model-load failures; a directory with
-/// an unloadable model file is a configuration error, not something to
-/// skip silently.
-pub fn register_models_from_dir(
-    engine: &ServeEngine,
-    dir: impl AsRef<Path>,
-) -> Result<Vec<String>, ServeError> {
-    let mut names = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if !path.is_file() {
-            continue;
-        }
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        let model = persist::load_any(&path)?;
-        engine.register(stem, model)?;
-        names.push(stem.to_string());
-    }
-    names.sort();
-    Ok(names)
-}

@@ -11,8 +11,7 @@
 //! parallel-sparse graph rewiring (`laplacian_csr`,
 //! `mtrl_sparse::SparseBlockDiag`). The dense `Mat` versions that
 //! predated that rewiring are retired; a consumer that genuinely needs a
-//! dense ensemble calls `.to_dense()` on the result, exactly like
-//! [`crate::laplacian_dense`] shims over [`crate::laplacian_csr`].
+//! dense ensemble calls `.to_dense()` on the result.
 
 use mtrl_linalg::LinalgError;
 use mtrl_sparse::Csr;

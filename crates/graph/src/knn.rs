@@ -248,7 +248,7 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
 /// Squared distance `‖a − b‖²` through the Gram identity
 /// `g_a + g_b − 2·aᵀb`, with the cross term accumulated in ascending-`k`
 /// FMA order — **the exact rounding sequence of the blocked kernel**
-/// ([`axpy1_fma`] / [`axpy4_fma`] chains), so the value equals what any
+/// (`axpy1_fma` / `axpy4_fma` chains), so the value equals what any
 /// tile/thread layout of [`cross_sq_dist_map`] produces for the same
 /// pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
 /// passed (callers that centre their data pass centred rows and norms).

@@ -8,7 +8,6 @@
 //! pNN Laplacian `L_E` live on comparable scales inside the ensemble of
 //! Eq. (12). DESIGN.md §3 records this choice.
 
-use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// Which Laplacian construction to apply to a weight matrix.
@@ -93,19 +92,6 @@ pub fn laplacian_csr(w: &Csr, kind: LaplacianKind) -> Csr {
     out.build()
 }
 
-/// Build a dense Laplacian block from a symmetric nonnegative weight
-/// matrix.
-///
-/// This is a thin `.to_dense()` shim over [`laplacian_csr`], kept for
-/// tests and for consumers that genuinely need the dense form (e.g. the
-/// Jacobi eigensolver); the fit loop uses the sparse construction.
-///
-/// # Panics
-/// Panics if `w` is not square.
-pub fn laplacian_dense(w: &Csr, kind: LaplacianKind) -> Mat {
-    laplacian_csr(w, kind).to_dense()
-}
-
 /// Degree vector `D_ii = Σ_j W_ij`.
 pub fn degrees(w: &Csr) -> Vec<f64> {
     w.row_sums()
@@ -116,6 +102,7 @@ mod tests {
     use super::*;
     use mtrl_linalg::eigen::sym_eigen;
     use mtrl_linalg::ops::matvec;
+    use mtrl_linalg::Mat;
     use mtrl_sparse::Coo;
 
     /// Path graph 0-1-2 with unit weights.
@@ -129,7 +116,7 @@ mod tests {
 
     #[test]
     fn unnormalized_rows_sum_to_zero() {
-        let l = laplacian_dense(&path3(), LaplacianKind::Unnormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::Unnormalized).to_dense();
         for s in l.row_sums() {
             assert!(s.abs() < 1e-12);
         }
@@ -139,7 +126,7 @@ mod tests {
 
     #[test]
     fn unnormalized_kills_constant_vector() {
-        let l = laplacian_dense(&path3(), LaplacianKind::Unnormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::Unnormalized).to_dense();
         let y = matvec(&l, &[1.0, 1.0, 1.0]).unwrap();
         assert!(y.iter().all(|v| v.abs() < 1e-12));
     }
@@ -161,7 +148,7 @@ mod tests {
         }
         let w = c.to_csr();
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
-            let l = laplacian_dense(&w, kind);
+            let l = laplacian_csr(&w, kind).to_dense();
             let e = sym_eigen(&l, 1e-10, 200).unwrap();
             assert!(
                 e.values.iter().all(|&v| v > -1e-9),
@@ -173,7 +160,7 @@ mod tests {
 
     #[test]
     fn normalized_diag_is_one_for_connected_vertices() {
-        let l = laplacian_dense(&path3(), LaplacianKind::SymNormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::SymNormalized).to_dense();
         for i in 0..3 {
             assert!((l[(i, i)] - 1.0).abs() < 1e-12);
         }
@@ -183,7 +170,7 @@ mod tests {
 
     #[test]
     fn normalized_spectrum_bounded_by_two() {
-        let l = laplacian_dense(&path3(), LaplacianKind::SymNormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::SymNormalized).to_dense();
         let e = sym_eigen(&l, 1e-10, 200).unwrap();
         assert!(e.values.iter().all(|&v| v <= 2.0 + 1e-9));
     }
@@ -194,7 +181,7 @@ mod tests {
         c.push(0, 1, 1.0);
         c.push(1, 0, 1.0);
         let w = c.to_csr();
-        let l = laplacian_dense(&w, LaplacianKind::SymNormalized);
+        let l = laplacian_csr(&w, LaplacianKind::SymNormalized).to_dense();
         assert_eq!(l[(2, 2)], 0.0);
         assert_eq!(l.row(2), &[0.0, 0.0, 0.0]);
     }
@@ -202,9 +189,9 @@ mod tests {
     #[test]
     fn zero_graph_gives_zero_laplacian() {
         let w = Csr::zeros(4, 4);
-        let lu = laplacian_dense(&w, LaplacianKind::Unnormalized);
+        let lu = laplacian_csr(&w, LaplacianKind::Unnormalized).to_dense();
         assert_eq!(lu.sum(), 0.0);
-        let ln = laplacian_dense(&w, LaplacianKind::SymNormalized);
+        let ln = laplacian_csr(&w, LaplacianKind::SymNormalized).to_dense();
         assert_eq!(ln.sum(), 0.0);
     }
 

@@ -19,12 +19,11 @@
 //! ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
 //! splits and `L·G` products of the multiplicative update run on CSR
-//! blocks; [`laplacian_dense`] remains as a `.to_dense()` shim for
-//! spectral utilities and tests.
+//! blocks; a consumer that needs the dense form calls `.to_dense()` on
+//! the result.
 
 #![forbid(unsafe_code)]
 
-pub mod components;
 pub mod ensemble;
 pub mod knn;
 pub mod laplacian;
@@ -36,4 +35,4 @@ pub use knn::{
     graph_from_neighbours, knn_indices, knn_indices_serial, knn_indices_with_threads, pnn_graph,
     pnn_graph_with_threads, select_p_nearest, WeightScheme,
 };
-pub use laplacian::{laplacian_csr, laplacian_dense, LaplacianKind};
+pub use laplacian::{laplacian_csr, LaplacianKind};

@@ -129,11 +129,6 @@ impl BlockDiag {
         &self.blocks[k]
     }
 
-    /// Mutably borrow block `k`.
-    pub fn block_mut(&mut self, k: usize) -> &mut Mat {
-        &mut self.blocks[k]
-    }
-
     /// Total stacked dimension `n`.
     pub fn n(&self) -> usize {
         self.spec.total()

@@ -21,19 +21,12 @@ pub enum LinalgError {
         /// Actual shape of the offending matrix.
         shape: (usize, usize),
     },
-    /// Inversion or factorisation hit a (numerically) singular pivot.
+    /// Inversion hit a (numerically) singular pivot.
     Singular {
         /// Human-readable name of the operation that failed.
         op: &'static str,
         /// Index of the pivot at which singularity was detected.
         pivot: usize,
-    },
-    /// Cholesky factorisation found a non-positive diagonal entry.
-    NotPositiveDefinite {
-        /// Index of the failing diagonal entry.
-        index: usize,
-        /// The offending value.
-        value: f64,
     },
     /// An iterative routine failed to converge within its iteration budget.
     NoConvergence {
@@ -64,10 +57,6 @@ impl fmt::Display for LinalgError {
             LinalgError::Singular { op, pivot } => {
                 write!(f, "{op}: singular matrix (pivot {pivot})")
             }
-            LinalgError::NotPositiveDefinite { index, value } => write!(
-                f,
-                "cholesky: matrix not positive definite (diagonal {index} = {value})"
-            ),
             LinalgError::NoConvergence { op, iterations } => {
                 write!(f, "{op}: no convergence after {iterations} iterations")
             }

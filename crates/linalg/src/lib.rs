@@ -15,7 +15,8 @@
 //! * diagonal-plus-low-rank row kernels backing the sparse-first NMTF
 //!   engine's implicit `R − E_R` representation ([`lowrank`]);
 //! * norms used by the paper: Frobenius, `l1`, `l2,1` ([`norms`]);
-//! * Gauss–Jordan inversion, Cholesky, LU solve ([`solve`]);
+//! * Gauss–Jordan inversion and its ridge-stabilised SPD variant
+//!   ([`solve`]);
 //! * a Jacobi symmetric eigensolver ([`eigen`]) for spectral utilities;
 //! * positive/negative part splits used by Eq. (21) ([`parts`]);
 //! * block-diagonal / block-structured assembly for the `R`, `W`, `G`

@@ -200,11 +200,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     ///
     /// # Panics
@@ -282,13 +277,6 @@ impl Mat {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Apply `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

@@ -226,16 +226,6 @@ impl HistogramSnapshot {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(lower_bound, upper_bound, count)`, for
-    /// exporters.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower(i), bucket_upper(i), c))
-    }
 }
 
 #[cfg(test)]

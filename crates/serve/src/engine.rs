@@ -464,11 +464,6 @@ impl ServeEngine {
             latency: c.latency_hist.snapshot(),
         }
     }
-
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for ServeEngine {

@@ -509,27 +509,43 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_config_is_typed_corrupt() {
-        // Patch the embedded config to the retired f32 storage mode and
-        // re-seal, so the config parse (not the file digest) is what
-        // fires; `load_any` must return a typed error, never panic.
-        let mut bytes = to_bytes(&tiny_fitted_model(78)).unwrap();
-        let needle = b"\"precision\":\"F64\"";
-        let at = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("config section carries the precision field");
-        bytes[at + needle.len() - 3..at + needle.len() - 1].copy_from_slice(b"32");
-        let digest_at = bytes.len() - 8;
-        let reseal = word_fnv(&bytes[..digest_at]);
-        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
-        let dir = std::env::temp_dir().join("mtrl_serve_binary_f32_test");
+    fn retired_config_values_are_typed_corrupt() {
+        // Splice a retired config value — the f32 storage mode or the
+        // cluster-pruned ANN backend — into the config section (tag 1,
+        // always first: header, tag, reserved, length at 40..48, payload,
+        // zero-pad) and re-seal, so the config parse (not the file
+        // digest) is what fires; `load_any` must return a typed error,
+        // never panic.
+        let bytes = to_bytes(&tiny_fitted_model(78)).unwrap();
+        let len = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+        let config = std::str::from_utf8(&bytes[48..48 + len]).unwrap();
+        let rest = &bytes[48 + len.next_multiple_of(8)..bytes.len() - 8];
+        let dir = std::env::temp_dir().join("mtrl_serve_binary_retired_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.mtrl");
-        std::fs::write(&path, &bytes).unwrap();
-        match crate::persist::load_any(&path) {
-            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("F32"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        for (field, retired, named) in [
+            ("\"precision\":\"F64\"", "\"precision\":\"F32\"", "F32"),
+            (
+                "\"graph_backend\":\"Exact\"",
+                "\"graph_backend\":{\"kind\":\"ClusterPruned\",\"tiles\":0,\"probe_tiles\":4,\
+                 \"quantiser_sample\":2048,\"seed\":12651134}",
+                "ClusterPruned",
+            ),
+        ] {
+            let patched = config.replacen(field, retired, 1);
+            assert_ne!(patched, config, "config section must carry {field}");
+            let mut out = bytes[..40].to_vec();
+            out.extend_from_slice(&(patched.len() as u64).to_le_bytes());
+            out.extend_from_slice(patched.as_bytes());
+            out.resize(out.len().next_multiple_of(8), 0);
+            out.extend_from_slice(rest);
+            let reseal = word_fnv(&out);
+            out.extend_from_slice(&reseal.to_le_bytes());
+            std::fs::write(&path, &out).unwrap();
+            match crate::persist::load_any(&path) {
+                Err(ServeError::Corrupt(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("{named}: expected Corrupt, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).ok();
     }

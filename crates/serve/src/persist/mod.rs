@@ -262,19 +262,30 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_bundle_is_typed_corrupt() {
-        // A bundle naming the retired f32 storage mode must fail to load
-        // with a typed error, never a panic or a silent f64 fit.
+    fn retired_config_values_are_typed_corrupt() {
+        // A bundle naming a retired config value — the f32 storage mode
+        // or the cluster-pruned ANN backend — must fail to load with a
+        // typed error, never a panic or a silent substitute fit.
         let json = to_json(&tiny_fitted_model(35)).unwrap();
-        let f32_json = json.replacen("\"precision\": \"F64\"", "\"precision\": \"F32\"", 1);
-        assert_ne!(f32_json, json, "config JSON must carry the precision field");
-        let dir = std::env::temp_dir().join("mtrl_serve_persist_f32_test");
+        let dir = std::env::temp_dir().join("mtrl_serve_persist_retired_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
-        std::fs::write(&path, f32_json).unwrap();
-        match load_any(&path) {
-            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("F32"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        for (field, retired, named) in [
+            ("\"precision\": \"F64\"", "\"precision\": \"F32\"", "F32"),
+            (
+                "\"graph_backend\": \"Exact\"",
+                "\"graph_backend\": {\"kind\": \"ClusterPruned\", \"tiles\": 0, \
+                 \"probe_tiles\": 4, \"quantiser_sample\": 2048, \"seed\": 12651134}",
+                "ClusterPruned",
+            ),
+        ] {
+            let patched = json.replacen(field, retired, 1);
+            assert_ne!(patched, json, "config JSON must carry {field}");
+            std::fs::write(&path, patched).unwrap();
+            match load_any(&path) {
+                Err(ServeError::Corrupt(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("{named}: expected Corrupt, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).ok();
     }

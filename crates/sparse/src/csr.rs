@@ -547,8 +547,8 @@ impl Csr {
 }
 
 /// Row-ordered CSR assembly for transformation code that already visits
-/// rows in order with strictly increasing columns (cheaper than a [`Coo`]
-/// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
+/// rows in order with strictly increasing columns (cheaper than a
+/// [`Coo`](crate::Coo) round-trip: no sort, no duplicate merge). Exact zeros are dropped on
 /// `push`, so built matrices keep the no-stored-zeros invariant — this
 /// is the one assembly path shared by `lin_comb`, `split_parts`,
 /// `mtrl-graph`'s Laplacian and pNN construction.

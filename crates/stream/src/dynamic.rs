@@ -49,7 +49,7 @@
 //! assembly are unchanged, so at exhaustive index settings the
 //! maintained graph is bit-identical to exact mode.
 
-use mtrl_ann::{build_any_index, insert_capped, AnyIndex, GraphBackend, NeighbourIndex};
+use mtrl_ann::{build_any_index, insert_capped, GraphBackend, RpForestIndex};
 use mtrl_graph::{
     cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, laplacian_csr,
     LaplacianKind, WeightScheme,
@@ -82,7 +82,7 @@ pub struct DynamicGraphConfig {
     /// exact kernel primitives: at exhaustive index settings the
     /// maintained graph is bit-identical to exact mode, and at any
     /// setting it is deterministic for a given mutation sequence.
-    /// Threshold rebuilds re-batch-build the index, healing leaf/tile
+    /// Threshold rebuilds re-batch-build the index, healing leaf
     /// growth from long insert streams.
     pub backend: GraphBackend,
 }
@@ -132,7 +132,7 @@ pub struct DynamicGraph {
     patched_rows: usize,
     /// The maintained ANN index over alive centred rows (`None` in
     /// exact mode). Refreshed by [`DynamicGraph::rebuild`].
-    index: Option<AnyIndex>,
+    index: Option<RpForestIndex>,
 }
 
 impl DynamicGraph {
@@ -720,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn ann_exhaustive_backends_match_exact_mode_bitwise() {
+    fn ann_exhaustive_forest_matches_exact_mode_bitwise() {
         // At exhaustive index settings the candidate sets cover every
         // alive row, so the whole insert/remove/rebuild lifecycle must
         // reproduce exact mode bit for bit.
@@ -742,23 +742,13 @@ mod tests {
             g.rebuild();
             (before_rebuild, g.graph())
         };
-        let exact = run(GraphBackend::Exact);
-        for backend in [
-            GraphBackend::ClusterPruned(mtrl_ann::ClusterParams {
-                tiles: 1,
-                probe_tiles: 1,
-                quantiser_sample: 24,
-                seed: 9,
-            }),
-            GraphBackend::RpForest(mtrl_ann::RpForestParams {
-                trees: 2,
-                leaf_size: 6,
-                probes: usize::MAX,
-                seed: 9,
-            }),
-        ] {
-            assert_eq!(run(backend), exact, "{}", backend.key());
-        }
+        let forest = GraphBackend::RpForest(mtrl_ann::RpForestParams {
+            trees: 2,
+            leaf_size: 6,
+            probes: usize::MAX,
+            seed: 9,
+        });
+        assert_eq!(run(forest), run(GraphBackend::Exact));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! the HOCC methods; among HOCC, SRC (no intra-type information) is
 //! weakest and RHCHME strongest.
 
+use rhchme_repro::core::pipeline::run_spec;
 use rhchme_repro::prelude::*;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for method in Method::all() {
-        let out = run_method(&corpus, method, &params).expect("method run");
+        let out = run_spec(&corpus, &method.into(), &params).expect("method run");
         let f = fscore(&corpus.labels, &out.doc_labels);
         let n = nmi(&corpus.labels, &out.doc_labels);
         let p = purity(&corpus.labels, &out.doc_labels);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the seven methods on shared corpora,
 //! verifying the qualitative ordering the paper reports.
 
+use rhchme_repro::core::pipeline::run_spec;
 use rhchme_repro::prelude::*;
 
 fn test_corpus(corrupt: f64, seed: u64) -> MultiTypeCorpus {
@@ -36,7 +37,7 @@ fn all_methods_produce_valid_labels() {
     let corpus = test_corpus(0.05, 301);
     let params = fast_params();
     for method in Method::all() {
-        let out = run_method(&corpus, method, &params).unwrap();
+        let out = run_spec(&corpus, &method.into(), &params).unwrap();
         assert_eq!(out.doc_labels.len(), corpus.num_docs(), "{method:?}");
         // Labels within the document cluster range.
         assert!(
@@ -60,8 +61,8 @@ fn rhchme_beats_src_under_corruption() {
     let seeds = [302u64, 312, 322];
     for &seed in &seeds {
         let corpus = test_corpus(0.15, seed);
-        let rhchme = run_method(&corpus, Method::Rhchme, &params).unwrap();
-        let src = run_method(&corpus, Method::Src, &params).unwrap();
+        let rhchme = run_spec(&corpus, &Method::Rhchme.into(), &params).unwrap();
+        let src = run_spec(&corpus, &Method::Src.into(), &params).unwrap();
         f_rhchme += fscore(&corpus.labels, &rhchme.doc_labels) / seeds.len() as f64;
         f_src += fscore(&corpus.labels, &src.doc_labels) / seeds.len() as f64;
     }
@@ -83,7 +84,7 @@ fn hocc_methods_beat_two_way_average() {
     for seed in [301u64, 303, 307] {
         let corpus = test_corpus(0.05, seed);
         for method in Method::all() {
-            let out = run_method(&corpus, method, &params).unwrap();
+            let out = run_spec(&corpus, &method.into(), &params).unwrap();
             let f = fscore(&corpus.labels, &out.doc_labels);
             if method.is_hocc() {
                 hocc.push(f);
@@ -106,8 +107,8 @@ fn method_runs_are_deterministic() {
     let corpus = test_corpus(0.05, 304);
     let params = fast_params();
     for method in [Method::Rhchme, Method::Rmc, Method::DrT] {
-        let a = run_method(&corpus, method, &params).unwrap();
-        let b = run_method(&corpus, method, &params).unwrap();
+        let a = run_spec(&corpus, &method.into(), &params).unwrap();
+        let b = run_spec(&corpus, &method.into(), &params).unwrap();
         assert_eq!(a.doc_labels, b.doc_labels, "{method:?} not deterministic");
         assert_eq!(
             a.objective_trace, b.objective_trace,
@@ -122,7 +123,7 @@ fn objective_traces_decrease_monotonically() {
     let corpus = test_corpus(0.1, 305);
     let params = fast_params();
     for method in [Method::Src, Method::Snmtf, Method::Rhchme] {
-        let out = run_method(&corpus, method, &params).unwrap();
+        let out = run_spec(&corpus, &method.into(), &params).unwrap();
         let t = &out.objective_trace;
         // SRC/SNMTF follow Theorem 1 exactly (strict bound). RHCHME
         // interleaves the row-ℓ1 normalisation of Eq. (22) and the IRLS
