@@ -16,7 +16,7 @@ use mtrl_bench::{print_table, section, write_json};
 use mtrl_datagen::manifold::{two_circles, union_of_subspaces, NOISE_LABEL};
 use mtrl_graph::{pnn_graph, WeightScheme};
 use mtrl_linalg::Mat;
-use mtrl_subspace::{spg_affinity, SpgConfig};
+use mtrl_subspace::{exhaustive_support, spg_affinity, SpgConfig};
 
 fn main() {
     section("Fig. 1: intersecting manifolds — pNN vs subspace learning");
@@ -28,8 +28,11 @@ fn main() {
         [x, y, x * x, y * y, x * y][j]
     });
     let w_pnn = pnn_graph(&points, 5, WeightScheme::HeatKernel { sigma: -1.0 });
+    // All-pairs support (n = 170): the figure is about distant pairs, so
+    // none is excluded up front.
     let spg = spg_affinity(
         &lifted,
+        &exhaustive_support(lifted.rows()),
         &SpgConfig {
             gamma: 40.0,
             max_iter: 250,
@@ -70,7 +73,7 @@ fn main() {
         mtrl_bench::mean(&fr)
     };
     let pnn_cross = cross(&|i, j| w_pnn.get(i, j));
-    let spg_cross = cross(&|i, j| 0.5 * (spg.w[(i, j)] + spg.w[(j, i)]));
+    let spg_cross = cross(&|i, j| 0.5 * (spg.w.get(i, j) + spg.w.get(j, i)));
 
     // Distant same-manifold recovery.
     let (mut pairs, mut pnn_hit, mut spg_hit) = (0usize, 0usize, 0usize);
@@ -85,7 +88,7 @@ fn main() {
                 if w_pnn.get(i, j) > 0.0 {
                     pnn_hit += 1;
                 }
-                if spg.w[(i, j)] + spg.w[(j, i)] > 1e-6 {
+                if spg.w.get(i, j) + spg.w.get(j, i) > 1e-6 {
                     spg_hit += 1;
                 }
             }
@@ -97,6 +100,7 @@ fn main() {
     let w_pnn_s = pnn_graph(&sub_pts, 5, WeightScheme::HeatKernel { sigma: -1.0 });
     let spg_s = spg_affinity(
         &sub_pts,
+        &exhaustive_support(sub_pts.rows()),
         &SpgConfig {
             gamma: 15.0,
             max_iter: 250,
@@ -125,7 +129,7 @@ fn main() {
         }
     };
     let pnn_purity = purity(&|i, j| w_pnn_s.get(i, j));
-    let spg_purity = purity(&|i, j| 0.5 * (spg_s.w[(i, j)] + spg_s.w[(j, i)]));
+    let spg_purity = purity(&|i, j| 0.5 * (spg_s.w.get(i, j) + spg_s.w.get(j, i)));
 
     print_table(
         &[

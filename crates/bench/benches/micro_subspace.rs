@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_datagen::manifold::union_of_subspaces;
-use mtrl_subspace::{ista_affinity, spg_affinity, IstaConfig, SpgConfig};
+use mtrl_subspace::{exhaustive_support, ista_affinity, spg_affinity, IstaConfig, SpgConfig};
 use std::hint::black_box;
 
 fn bench_spg(c: &mut Criterion) {
@@ -15,6 +15,8 @@ fn bench_spg(c: &mut Criterion) {
     group.sample_size(10);
     for &n_per in &[30usize, 60] {
         let (data, _) = union_of_subspaces(3, 2, 12, n_per, 0.02, 21);
+        // All-pairs support, the same problem the ISTA ablation solves.
+        let support = exhaustive_support(data.rows());
         group.bench_with_input(
             BenchmarkId::from_parameter(3 * n_per),
             &n_per,
@@ -22,6 +24,7 @@ fn bench_spg(c: &mut Criterion) {
                 bencher.iter(|| {
                     spg_affinity(
                         black_box(&data),
+                        &support,
                         &SpgConfig {
                             max_iter: 60,
                             ..SpgConfig::default()

@@ -6,7 +6,8 @@
 //! * `W_E` / `L_E` — the pNN graph with cosine weighting (Eq. 3; the paper
 //!   fixes cosine and `p = 5` for SNMTF and RHCHME);
 //! * `W_S` / `L_S` — the subspace-learned affinity from the SPG solver
-//!   (Eq. 9, Algorithm 1);
+//!   (Eq. 9, Algorithm 1), solved on each object's `SUPPORT` nearest
+//!   cosine candidates rather than on a dense `n x n` matrix;
 //!
 //! and assembles the heterogeneous manifold ensemble `L = α·L_S + L_E`
 //! (Eq. 12) as a block-diagonal operator over all types.
@@ -18,10 +19,10 @@
 
 use crate::Result;
 use mtrl_ann::{pnn_graph_backend, GraphBackend};
-use mtrl_graph::{laplacian_csr, LaplacianKind, WeightScheme};
+use mtrl_graph::{knn_indices, laplacian_csr, LaplacianKind, WeightScheme};
 use mtrl_linalg::{Mat, Precision};
-use mtrl_sparse::SparseBlockDiag;
-use mtrl_subspace::{affinity_to_weights, spg_affinity, SpgConfig};
+use mtrl_sparse::{Csr, CsrBuilder, SparseBlockDiag};
+use mtrl_subspace::{spg_affinity, SpgConfig};
 
 /// Relative pruning threshold applied to subspace affinities before graph
 /// construction: entries below `PRUNE_REL * max(W)` are dropped, removing
@@ -36,6 +37,15 @@ const PRUNE_REL: f64 = 1e-4;
 /// find. `TOP_K = 10 = 2p` keeps `L_S` on the same sparsity scale as the
 /// pNN member of the ensemble.
 const TOP_K: usize = 10;
+
+/// Candidate columns per row of the SPG affinity: each object is
+/// expressed only through its `SUPPORT` nearest neighbours in cosine
+/// similarity (`min(n − 1, SUPPORT)` for small types). The dense solution
+/// keeps 28–37 positive entries per row; on a 1200-document corpus these
+/// candidates hold 78–97% of its top-`TOP_K` links per type (Euclidean
+/// neighbours: 52% on concepts), at `O(n·SUPPORT·d)` per SPG iteration
+/// instead of `O(n³)`.
+const SUPPORT: usize = 40;
 
 /// Per-type pNN Laplacians assembled into a sparse block-diagonal
 /// operator (`O(p·n_k)` stored entries per block — the fit loop never
@@ -89,8 +99,14 @@ pub fn pnn_laplacians_backend_prec(
 }
 
 /// Per-type subspace-learned Laplacians (`L_S`) via SPG, as a block
-/// diagonal. `base_cfg.seed` is offset per type so types do not share RNG
-/// streams.
+/// diagonal. `base_cfg.seed` is offset per type so types do not share
+/// initialisations.
+///
+/// Each type's SPG runs on the `SUPPORT` nearest cosine candidates of
+/// every object (spans `subspace.candidates` and `subspace.spg`); its
+/// affinity is cut to the `TOP_K` strongest entries per row, symmetrised
+/// and pruned at `PRUNE_REL` of the largest kept entry. No stage forms
+/// an `n x n` matrix.
 pub fn subspace_laplacians(
     features: &[Mat],
     base_cfg: &SpgConfig,
@@ -102,35 +118,55 @@ pub fn subspace_laplacians(
             seed: base_cfg.seed.wrapping_add(k as u64),
             ..base_cfg.clone()
         };
-        let res = spg_affinity(f, &cfg)?;
-        let truncated = truncate_rows_top_k(&res.w, TOP_K);
-        let max_w = truncated.max().max(0.0);
-        let w = affinity_to_weights(&truncated, PRUNE_REL * max_w);
+        let support = {
+            let _span = mtrl_obs::span!("subspace.candidates");
+            cosine_candidates(f, SUPPORT.min(f.rows().saturating_sub(1)))
+        };
+        let res = {
+            let _span = mtrl_obs::span!("subspace.spg");
+            spg_affinity(f, &support, &cfg)?
+        };
+        let w = sparsify_affinity(&res.w, TOP_K, PRUNE_REL);
         blocks.push(laplacian_csr(&w, kind));
     }
     Ok(SparseBlockDiag::new(blocks)?)
 }
 
-/// Keep only the `k` largest entries in each row of a nonnegative
-/// affinity matrix, zeroing the rest.
-fn truncate_rows_top_k(w: &Mat, k: usize) -> Mat {
-    let n = w.rows();
-    if k >= n {
-        return w.clone();
-    }
-    let mut out = Mat::zeros(n, w.cols());
-    let mut order: Vec<usize> = Vec::with_capacity(w.cols());
+/// The `m` nearest neighbours of every row in cosine similarity: the
+/// exact Euclidean kNN of the L2-normalised rows. All-zero rows stay
+/// zero (equidistant from every unit row); ties break by index.
+fn cosine_candidates(features: &Mat, m: usize) -> Vec<Vec<usize>> {
+    let mut unit = features.clone();
+    unit.normalize_rows_l2(0.0);
+    knn_indices(&unit, m)
+}
+
+/// Turn a (generally asymmetric) self-expressive affinity `A` into the
+/// symmetric weight matrix the Laplacian builder consumes: keep the `k`
+/// largest entries of each row (ties by column index), then
+/// `W_S = (A + Aᵀ)/2` with entries at or below `prune_rel · max(A)`
+/// dropped. `A` has a zero diagonal, so `W_S` does too.
+fn sparsify_affinity(a: &Csr, k: usize, prune_rel: f64) -> Csr {
+    let n = a.rows();
+    let mut top = CsrBuilder::with_capacity(n, a.cols(), n * k);
+    let mut order = Vec::new();
+    let mut max_w = 0.0f64;
     for i in 0..n {
-        let row = w.row(i);
+        let (cols, vals) = a.row(i);
         order.clear();
-        order.extend(0..w.cols());
-        order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("NaN affinity"));
-        let dst = out.row_mut(i);
-        for &j in order.iter().take(k) {
-            dst[j] = row[j];
+        order.extend(0..cols.len());
+        order.sort_by(|&p, &q| vals[q].total_cmp(&vals[p]).then(cols[p].cmp(&cols[q])));
+        order.truncate(k);
+        order.sort_unstable();
+        for &p in &order {
+            top.push(cols[p], vals[p]);
+            max_w = max_w.max(vals[p]);
         }
+        top.finish_row();
     }
-    out
+    let top = top.build();
+    top.lin_comb(0.5, &top.transpose(), 0.5)
+        .prune(prune_rel * max_w)
 }
 
 /// Combine the two Laplacian families into the heterogeneous manifold
@@ -222,6 +258,41 @@ mod tests {
         for k in 0..2 {
             assert!(l.block(k).is_symmetric(1e-9), "block {k} not symmetric");
         }
+    }
+
+    #[test]
+    fn sparsify_keeps_top_k_then_symmetrises_and_prunes() {
+        let a = Csr::from_dense(
+            &Mat::from_vec(3, 3, vec![0.0, 0.4, 0.4, 0.2, 0.0, 1.0, 0.0, 0.6, 0.0]).unwrap(),
+            0.0,
+        );
+        // Row 0 ties at 0.4: the lower column (1) wins the single slot.
+        let w = sparsify_affinity(&a, 1, 0.0);
+        assert!(w.is_symmetric(0.0));
+        assert_eq!(w.get(0, 1), 0.2);
+        assert_eq!(w.get(0, 2), 0.0);
+        assert_eq!(w.get(1, 2), 0.5 * (1.0 + 0.6));
+        assert!((0..3).all(|i| w.get(i, i) == 0.0));
+        // Pruning is relative to the largest kept entry (1.0) and strict.
+        let pruned = sparsify_affinity(&a, 1, 0.2);
+        assert_eq!(pruned.get(0, 1), 0.0);
+        assert_eq!(pruned.nnz(), 2);
+    }
+
+    #[test]
+    fn cosine_candidates_ignore_scale_and_skip_self() {
+        let f = Mat::from_rows(&[
+            vec![1.0, 0.0],
+            vec![10.0, 1.0],
+            vec![0.0, 1.0],
+            vec![0.0, 0.0],
+        ])
+        .unwrap();
+        let c = cosine_candidates(&f, 2);
+        // Row 1 is far from row 0 in Euclidean terms but nearly parallel.
+        assert_eq!(c[0], vec![1, 3]);
+        assert_eq!(c[1], vec![0, 3]);
+        assert!(c.iter().enumerate().all(|(i, row)| !row.contains(&i)));
     }
 
     #[test]

@@ -36,7 +36,8 @@ impl MultiTypeData {
     ///
     /// # Errors
     /// Returns [`RhchmeError::InvalidData`] for inconsistent shapes,
-    /// out-of-range type indices, duplicate or self relations, and
+    /// out-of-range type indices, duplicate or self relations, NaN or
+    /// infinite relation values, and
     /// [`RhchmeError::InvalidConfig`] for cluster counts `< 2` or larger
     /// than the type size.
     pub fn new(
@@ -82,6 +83,11 @@ impl MultiTypeData {
                     m.shape(),
                     sizes[k],
                     sizes[l]
+                )));
+            }
+            if let Some((i, j, v)) = m.iter().find(|(_, _, v)| !v.is_finite()) {
+                return Err(RhchmeError::InvalidData(format!(
+                    "relation ({k},{l}) has non-finite value {v} at ({i},{j})"
                 )));
             }
             if map.insert((k, l), m).is_some() {
@@ -345,6 +351,30 @@ mod tests {
     fn small_relation(rows: usize, cols: usize, seed: u64) -> Csr {
         let dense = mtrl_linalg::random::rand_uniform(rows, cols, 0.0, 1.0, seed);
         Csr::from_dense(&dense, 0.5) // ~50% sparse
+    }
+
+    /// `m` with entry `(i, j)` set to `v` (added to a stored value).
+    fn with_entry(m: &Csr, i: usize, j: usize, v: f64) -> Csr {
+        let mut coo = mtrl_sparse::Coo::new(m.rows(), m.cols());
+        for (r, c, x) in m.iter() {
+            coo.push(r, c, x);
+        }
+        coo.push(i, j, v);
+        coo.to_csr()
+    }
+
+    #[test]
+    fn rejects_non_finite_relation_values() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r01 = with_entry(&small_relation(5, 4, 1), 2, 3, bad);
+            let err = MultiTypeData::new(vec![5, 4], vec![2, 2], vec![(0, 1, r01)]).unwrap_err();
+            match err {
+                RhchmeError::InvalidData(msg) => {
+                    assert!(msg.contains("non-finite") && msg.contains("(2,3)"), "{msg}");
+                }
+                other => panic!("{bad}: expected InvalidData, got {other:?}"),
+            }
+        }
     }
 
     #[test]

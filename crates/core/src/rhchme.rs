@@ -360,6 +360,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_corpus_is_a_typed_error_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut corpus = tiny_corpus(0.0, 33);
+            let mut coo = mtrl_sparse::Coo::new(corpus.num_docs(), corpus.num_terms());
+            for (i, j, v) in corpus.doc_term.iter() {
+                coo.push(i, j, v);
+            }
+            coo.push(3, 0, bad);
+            corpus.doc_term = coo.to_csr();
+            let res =
+                std::panic::catch_unwind(|| Rhchme::new(RhchmeConfig::fast()).fit_corpus(&corpus));
+            match res {
+                Ok(Err(crate::RhchmeError::InvalidData(msg))) => {
+                    assert!(msg.contains("non-finite"), "{msg}");
+                }
+                Ok(other) => panic!("{bad}: expected InvalidData, got {:?}", other.err()),
+                Err(_) => panic!("{bad}: fit_corpus panicked"),
+            }
+        }
+    }
+
+    #[test]
     fn fits_tiny_corpus_reasonably() {
         let corpus = tiny_corpus(0.0, 31);
         let model = Rhchme::new(RhchmeConfig {

@@ -15,7 +15,7 @@
 
 use mtrl_datagen::manifold::{two_circles, NOISE_LABEL};
 use mtrl_graph::{pnn_graph, WeightScheme};
-use mtrl_subspace::{spg_affinity, SpgConfig};
+use mtrl_subspace::{exhaustive_support, spg_affinity, SpgConfig};
 
 fn main() {
     let (points, labels) = two_circles(60, 1.0, 0.01, 8, 2015);
@@ -29,9 +29,12 @@ fn main() {
     // subspaces, so we lift to the quadratic kernel features
     // (x, y, x^2, y^2, xy) where each circle IS a hyperplane slice — the
     // standard trick for manifold self-expression.
+    // All-pairs support: at n = 128 the dense problem is cheap, and every
+    // distant same-circle pair stays a candidate.
     let lifted = lift_quadratic(&points);
     let spg = spg_affinity(
         &lifted,
+        &exhaustive_support(n),
         &SpgConfig {
             gamma: 200.0,
             max_iter: 150,
@@ -57,7 +60,7 @@ fn main() {
 
     let confusion_pnn = cross_manifold_mass(&near_intersection, &labels, |i, j| w_pnn.get(i, j));
     let confusion_spg = cross_manifold_mass(&near_intersection, &labels, |i, j| {
-        0.5 * (spg.w[(i, j)] + spg.w[(j, i)])
+        0.5 * (spg.w.get(i, j) + spg.w.get(j, i))
     });
     println!("cross-manifold neighbour mass at the intersection:");
     println!("  pNN graph        : {:.1}%", confusion_pnn * 100.0);
@@ -77,7 +80,7 @@ fn main() {
             let d = mtrl_linalg::vecops::sq_dist(points.row(i), points.row(j)).sqrt();
             if d > 1.5 {
                 distant_pairs += 1;
-                if spg.w[(i, j)] + spg.w[(j, i)] > 1e-6 {
+                if spg.w.get(i, j) + spg.w.get(j, i) > 1e-6 {
                     spg_connected += 1;
                 }
                 if w_pnn.get(i, j) > 0.0 {

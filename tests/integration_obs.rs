@@ -85,6 +85,8 @@ fn obs_on_is_bit_identical_and_manifest_carries_the_fit() {
     for path in [
         "rhchme.fit",
         "rhchme.fit/rhchme.laplacian",
+        "rhchme.fit/rhchme.laplacian/subspace.candidates",
+        "rhchme.fit/rhchme.laplacian/subspace.spg",
         "rhchme.fit/rhchme.kmeans_init",
         "engine.fit.spmm",
         "engine.fit.lowrank",
@@ -95,6 +97,13 @@ fn obs_on_is_bit_identical_and_manifest_carries_the_fit() {
             spans.iter().any(|(p, s)| p == path && s.count > 0),
             "span {path} missing from {spans:?}"
         );
+    }
+    // The SPG spans open once per object type (documents, terms,
+    // concepts) on each fit.
+    for leaf in ["subspace.candidates", "subspace.spg"] {
+        let path = format!("rhchme.fit/rhchme.laplacian/{leaf}");
+        let count = spans.iter().find(|(p, _)| *p == path).map(|(_, s)| s.count);
+        assert_eq!(count, Some(3), "{path} per-type count");
     }
 
     // ...and the manifest serialises it: valid JSON with the schema
